@@ -337,14 +337,7 @@ func (rt *Router) syncKey(trace string, span *obs.Span, key storage.TileKey, sou
 		}
 	}
 
-	var winner *legResult
-	for i := range legs {
-		l := &legs[i]
-		if (l.found || l.tomb) && (winner == nil ||
-			storage.FresherState(l.tomb, l.clock, l.data, winner.tomb, winner.clock, winner.data)) {
-			winner = l
-		}
-	}
+	winner := freshest(legs)
 	if winner == nil {
 		rt.stats.aeRepairsSkipped.Inc()
 		leg.Fail("no winner readable")
@@ -486,15 +479,7 @@ func (rt *Router) gcPass(trace string, span *obs.Span) {
 // aeJSON fetches one node's JSON endpoint under a fresh leg span and
 // timeout, for sweep use outside any client request.
 func (rt *Router) aeJSON(trace string, span *obs.Span, m *member, path string, v any) error {
-	leg := span.StartChild("sweep.fetch")
-	leg.SetAttr("node", m.node.Name)
-	ctx, cancel := rt.legContext(context.Background())
-	err := rt.shardJSON(ctx, trace, leg, m, path, v)
-	cancel()
-	if err != nil {
-		leg.Fail(err.Error())
-	}
-	leg.End()
+	_, err := oneLeg(rt, context.Background(), span, "sweep.fetch", m, rt.jsonLeg(trace, path, v))
 	return err
 }
 

@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"fmt"
-	"net/http"
 
 	"hdmaps/internal/obs/eventlog"
 	"hdmaps/internal/obs/incident"
@@ -74,23 +73,4 @@ func (rt *Router) onAlertTransition(tr slo.Transition) {
 			ExemplarTraceID: tr.Alert.ExemplarTraceID,
 		})
 	}
-}
-
-// handleEventz serves the journal; the eventlog handler owns the
-// hardened query-parameter surface.
-func (rt *Router) handleEventz(w http.ResponseWriter, r *http.Request) {
-	if rt.journal == nil {
-		rt.writeJSONErrorRaw(w, http.StatusNotFound, "observability plane disabled")
-		return
-	}
-	eventlog.Handler(rt.journal).ServeHTTP(w, r)
-}
-
-// handleIncidentz serves the incident table.
-func (rt *Router) handleIncidentz(w http.ResponseWriter, r *http.Request) {
-	if rt.incidents == nil {
-		rt.writeJSONErrorRaw(w, http.StatusNotFound, "observability plane disabled")
-		return
-	}
-	incident.Handler(rt.incidents).ServeHTTP(w, r)
 }

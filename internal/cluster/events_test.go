@@ -23,7 +23,7 @@ func TestEventJournalRecordsLifecycle(t *testing.T) {
 	}
 
 	m := rt.members["node0"]
-	for i := 0; i < rt.cfg.failAfter(); i++ {
+	for i := 0; i < rt.cfg.FailAfter; i++ {
 		rt.noteFailure(m, "test kill")
 	}
 	rt.noteSuccess(m)
@@ -151,7 +151,7 @@ func TestSharedJournalInjection(t *testing.T) {
 		t.Fatal("router should adopt the injected journal")
 	}
 	m := rt.members["node0"]
-	for i := 0; i < rt.cfg.failAfter(); i++ {
+	for i := 0; i < rt.cfg.FailAfter; i++ {
 		rt.noteFailure(m, "boom")
 	}
 	evs := shared.Since(0, "", 0)

@@ -169,7 +169,7 @@ func (f *fleet) scrapeRound(now time.Time) {
 // before returning — the commit-or-nothing half of the no-partial-
 // merge rule.
 func (f *fleet) scrape(m *member) (*obs.RegistrySnapshot, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), f.rt.cfg.shardTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), f.rt.cfg.ShardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.node.Base+"/metricz", nil)
 	if err != nil {
@@ -345,7 +345,7 @@ func (rt *Router) FleetStatus(points int) *FleetStatus {
 	hintsByNode := rt.hints.pendingByTarget()
 	out := &FleetStatus{
 		GeneratedAt:    time.Now(),
-		SampleInterval: rt.cfg.sampleInterval().String(),
+		SampleInterval: rt.cfg.SampleInterval.String(),
 		MaxNodes:       rt.fleet.maxNodes,
 	}
 	if rt.sloEng != nil {

@@ -365,11 +365,21 @@ func TestObservabilityPlaneDisabled(t *testing.T) {
 	if rt.sampler != nil || rt.fleet != nil || rt.sloEng != nil {
 		t.Fatal("negative SampleInterval should disable the plane")
 	}
-	for _, path := range []string{"/fleetz", "/alertz"} {
+	// Every plane endpoint answers the same JSON 404 shape.
+	for _, path := range []string{"/fleetz", "/alertz", "/eventz", "/incidentz"} {
 		rec := httptest.NewRecorder()
 		rt.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Code != 404 {
-			t.Fatalf("%s: status %d, want 404 when disabled", path, rec.Code)
+			t.Errorf("%s: status %d, want 404 when disabled", path, rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q, want application/json", path, ct)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: 404 body not a JSON error: %q", path, rec.Body.String())
 		}
 	}
 	if rt.FleetStatus(0) != nil || rt.SLOAlerts() != nil {

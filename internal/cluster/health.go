@@ -106,7 +106,7 @@ func (m *member) status() MemberStatus {
 // state machine as in-band failures, so a node that answers probes but
 // refuses traffic still goes down after FailAfter in-band strikes.
 func (rt *Router) probe(m *member) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.probeTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.node.Base+"/healthz", nil)
 	if err != nil {
@@ -135,7 +135,7 @@ func (rt *Router) probe(m *member) {
 // flap resumes here).
 func (rt *Router) probeLoop() {
 	defer rt.bg.Done()
-	t := time.NewTicker(rt.cfg.probeInterval())
+	t := time.NewTicker(rt.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -163,7 +163,7 @@ func (rt *Router) probeLoop() {
 
 // noteFailure records an in-band or probe failure against a node.
 func (rt *Router) noteFailure(m *member, errMsg string) {
-	if m.strike(rt.cfg.failAfter(), errMsg) {
+	if m.strike(rt.cfg.FailAfter, errMsg) {
 		rt.log.Warn("node down", "node", m.node.Name, "error", errMsg)
 		rt.event(eventlog.TypeNodeDead, m.node.Name, errMsg, "")
 	}

@@ -69,9 +69,6 @@ type hintBuffer struct {
 }
 
 func newHintBuffer(max int) *hintBuffer {
-	if max <= 0 {
-		max = 4096
-	}
 	return &hintBuffer{byTarget: make(map[string]map[storage.TileKey]*hint), max: max}
 }
 

@@ -17,31 +17,8 @@ import (
 	"hdmaps/internal/obs/notify"
 	"hdmaps/internal/obs/slo"
 	"hdmaps/internal/obs/timeseries"
+	"hdmaps/internal/storage"
 )
-
-func (c *Config) sampleInterval() time.Duration {
-	if c.SampleInterval < 0 {
-		return 0 // observability plane disabled
-	}
-	if c.SampleInterval == 0 {
-		return 5 * time.Second
-	}
-	return c.SampleInterval
-}
-
-func (c *Config) sampleHistory() int {
-	if c.SampleHistory > 0 {
-		return c.SampleHistory
-	}
-	return 360
-}
-
-func (c *Config) maxFleetNodes() int {
-	if c.MaxFleetNodes > 0 {
-		return c.MaxFleetNodes
-	}
-	return 16
-}
 
 // shippedObjectives is the default SLO set: availability and latency
 // of the read path, quorum assembly, ingest commit-gate pass rate
@@ -81,7 +58,7 @@ func (rt *Router) shippedObjectives() []slo.Objective {
 			Target:      0.9,
 		},
 	}
-	if iv := rt.cfg.sweepInterval(); iv > 0 {
+	if iv := rt.cfg.SweepInterval; iv > 0 {
 		objs = append(objs, slo.Objective{
 			Name:        "slo.sweep.cadence",
 			Description: "anti-entropy sweep freshness (age under 4 intervals)",
@@ -99,16 +76,16 @@ func (rt *Router) shippedObjectives() []slo.Objective {
 // (rt.sampler et al stay nil; /fleetz, /alertz, /eventz, and
 // /incidentz answer 404).
 func (rt *Router) buildObservability() error {
-	iv := rt.cfg.sampleInterval()
+	iv := rt.cfg.SampleInterval
 	if iv <= 0 {
 		return nil
 	}
 	rt.sampler = timeseries.NewSampler(timeseries.Config{
 		Registry: rt.reg,
 		Interval: iv,
-		Capacity: rt.cfg.sampleHistory(),
+		Capacity: rt.cfg.SampleHistory,
 	})
-	rt.fleet = newFleet(rt, iv, rt.cfg.sampleHistory(), rt.cfg.maxFleetNodes())
+	rt.fleet = newFleet(rt, iv, rt.cfg.SampleHistory, rt.cfg.MaxFleetNodes)
 	rt.aeAge = rt.reg.Gauge("cluster.antientropy.round_age_seconds")
 
 	if rt.cfg.EventLog != nil {
@@ -235,31 +212,19 @@ const maxFleetPoints = 1 << 20
 // negative, or absurd values are 400 JSON errors — never silently
 // coerced.
 func (rt *Router) handleFleetz(w http.ResponseWriter, r *http.Request) {
-	if rt.fleet == nil {
-		rt.writeJSONErrorRaw(w, http.StatusNotFound, "observability plane disabled")
-		return
-	}
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		rt.writeJSONErrorRaw(w, http.StatusMethodNotAllowed, "method not allowed")
+		storage.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	points := 30
 	if v := r.URL.Query().Get("points"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 || n > maxFleetPoints {
-			rt.writeJSONErrorRaw(w, http.StatusBadRequest,
+			storage.WriteJSONError(w, http.StatusBadRequest,
 				"bad points: want an integer in [0, 2^20], got "+strconv.Quote(v))
 			return
 		}
 		points = n
 	}
-	rt.writeJSON(w, rt.FleetStatus(points))
-}
-
-func (rt *Router) handleAlertz(w http.ResponseWriter, r *http.Request) {
-	if rt.sloEng == nil {
-		http.Error(w, "observability plane disabled", http.StatusNotFound)
-		return
-	}
-	slo.Handler(rt.sloEng).ServeHTTP(w, r)
+	storage.WriteJSON(w, rt.FleetStatus(points))
 }

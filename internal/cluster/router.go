@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,197 +22,11 @@ import (
 	"hdmaps/internal/storage"
 )
 
-// Node identifies one tile-server backend: a stable name (the ring
-// identity, also the metric label) and its HTTP base URL.
-type Node struct {
-	Name string
-	Base string
-}
-
-// Config configures a Router. Zero fields take the defaults documented
-// on each resolver below.
-type Config struct {
-	// Nodes is the initial membership. Names must be unique, non-empty,
-	// and valid metric label values ([a-z0-9_]+).
-	Nodes []Node
-	// Replicas is the owner-set size R per tile (default 3, clamped to
-	// the member count).
-	Replicas int
-	// ReadQuorum / WriteQuorum are the answers required before a read
-	// responds or a write acks (default R/2+1 each). A write quorum is
-	// sloppy: a hint successfully parked for a dead owner counts.
-	ReadQuorum  int
-	WriteQuorum int
-	// VNodes is the virtual-node count per member (default
-	// DefaultVNodes).
-	VNodes int
-	// ShardTimeout bounds each per-node leg request (default 5s).
-	ShardTimeout time.Duration
-	// RetryAfter is the hint on shed (503) responses (default 1s).
-	RetryAfter time.Duration
-	// ProbeInterval / ProbeTimeout drive the failure detector (defaults
-	// 250ms / 1s). FailAfter is the consecutive-strike threshold that
-	// marks a node down (default 2).
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	FailAfter     int
-	// MaxHints bounds the in-memory hinted-handoff buffer (default
-	// 4096 hints); MaxRepairQueue bounds the read-repair queue (default
-	// 256).
-	MaxHints       int
-	MaxRepairQueue int
-	// MaxTileBytes bounds accepted PUT bodies (default 16 MiB, matching
-	// storage.TileServer).
-	MaxTileBytes int64
-	// SweepInterval is the anti-entropy sweep cadence (default 30s;
-	// negative disables background sweeping — SweepNow still works).
-	SweepInterval time.Duration
-	// TombstoneTTL is the minimum deletion-marker age before GC may
-	// reclaim it (default 24h). It must exceed the hint-drain/repair
-	// horizon — see the GC safety argument in DESIGN.md §11.
-	TombstoneTTL time.Duration
-	// SampleInterval is the observability-plane cadence: registry
-	// sampling, fleet federation scrapes, and SLO evaluation all run on
-	// this tick (default 5s; negative disables the whole plane —
-	// /fleetz and /alertz answer 404).
-	SampleInterval time.Duration
-	// SampleHistory is the ring capacity of every time series, in ticks
-	// (default 360 — half an hour at the default interval).
-	SampleHistory int
-	// MaxFleetNodes bounds the per-node series cardinality in the
-	// federated view; nodes beyond it collapse into one reserved
-	// "other" pseudo-node (default 16).
-	MaxFleetNodes int
-	// SLOFastWindow / SLOSlowWindow are the burn-rate windows (defaults
-	// 5m / 1h, resolved by the SLO engine). SLOObjectives overrides the
-	// shipped objective set when non-nil.
-	SLOFastWindow time.Duration
-	SLOSlowWindow time.Duration
-	SLOObjectives []slo.Objective
-	// EventLog, when set, is the shared journal the router emits
-	// lifecycle events into (embedding processes pass the same journal
-	// to ingest/resilience so /eventz is one cluster-wide timeline).
-	// When nil and the plane is enabled, the router builds a private
-	// journal over the full standard domain — durable at EventLogPath
-	// if that is set, memory-only otherwise. EventLogCapacity bounds
-	// the ring (default 1024).
-	EventLog         *eventlog.Log
-	EventLogPath     string
-	EventLogCapacity int
-	// NotifySinks, when non-empty, enables push alerting: every alert
-	// transition fans out to each sink with retry, dedup, and flap
-	// damping (NotifyMinHold, default 1m — see notify.Config.MinHold).
-	NotifySinks   []notify.Sink
-	NotifyMinHold time.Duration
-	// IncidentWindow is the causal look-back for incident timelines
-	// (default 2m — see incident.Config.Window).
-	IncidentWindow time.Duration
-	// Transport, when set, is used for all node requests — the chaos
-	// tests inject per-host fault transports here.
-	Transport http.RoundTripper
-	// Registry receives the router's counters (default: a private
-	// registry). Tracer receives request spans (default: a tracer with
-	// Metrics on the same registry). Logger defaults to a no-op.
-	Registry *obs.Registry
-	Tracer   *obs.Tracer
-	Logger   *slog.Logger
-}
-
-// replicasFor clamps the configured replication factor to the given
-// membership size. Callers pass *current* membership, not the initial
-// cfg.Nodes list: a cluster started below its target factor regains
-// the full factor (and the quorums derived from it) as AddNode grows
-// the ring.
-func (c *Config) replicasFor(members int) int {
-	r := c.Replicas
-	if r <= 0 {
-		r = 3
-	}
-	if r > members {
-		r = members
-	}
-	return r
-}
-
-func (c *Config) readQuorumFor(replicas int) int {
-	if c.ReadQuorum > 0 {
-		return c.ReadQuorum
-	}
-	return replicas/2 + 1
-}
-
-func (c *Config) writeQuorumFor(replicas int) int {
-	if c.WriteQuorum > 0 {
-		return c.WriteQuorum
-	}
-	return replicas/2 + 1
-}
-
-func (c *Config) shardTimeout() time.Duration {
-	if c.ShardTimeout > 0 {
-		return c.ShardTimeout
-	}
-	return 5 * time.Second
-}
-
-func (c *Config) retryAfter() time.Duration {
-	if c.RetryAfter > 0 {
-		return c.RetryAfter
-	}
-	return time.Second
-}
-
-func (c *Config) probeInterval() time.Duration {
-	if c.ProbeInterval > 0 {
-		return c.ProbeInterval
-	}
-	return 250 * time.Millisecond
-}
-
-func (c *Config) probeTimeout() time.Duration {
-	if c.ProbeTimeout > 0 {
-		return c.ProbeTimeout
-	}
-	return time.Second
-}
-
-func (c *Config) failAfter() int {
-	if c.FailAfter > 0 {
-		return c.FailAfter
-	}
-	return 2
-}
-
-func (c *Config) maxTileBytes() int64 {
-	if c.MaxTileBytes > 0 {
-		return c.MaxTileBytes
-	}
-	return 16 << 20
-}
-
-func (c *Config) maxRepairQueue() int {
-	if c.MaxRepairQueue > 0 {
-		return c.MaxRepairQueue
-	}
-	return 256
-}
-
-func (c *Config) sweepInterval() time.Duration {
-	if c.SweepInterval < 0 {
-		return 0 // disabled
-	}
-	if c.SweepInterval == 0 {
-		return 30 * time.Second
-	}
-	return c.SweepInterval
-}
-
-func (c *Config) tombstoneTTL() time.Duration {
-	if c.TombstoneTTL > 0 {
-		return c.TombstoneTTL
-	}
-	return 24 * time.Hour
-}
+// The router is split by concern: this file holds lifecycle,
+// membership and the HTTP surface; config.go the one config
+// resolution; shard.go the per-node legs and the one fan-out every
+// multi-node operation uses; read.go, write.go, handoff.go and
+// listing.go the request paths built on it.
 
 // Router fronts a fleet of tile servers as one origin: it routes every
 // tile key to its R ring owners, reads at quorum with background
@@ -274,25 +84,13 @@ type Router struct {
 	draining atomic.Bool
 }
 
-// repairJob asks the repair worker to bring one replica up to the
-// winner observed by a quorum read. (Sweep-found divergences are
-// reconciled inline by the sweeper via syncKey, not queued here.)
-type repairJob struct {
-	m      *member
-	key    storage.TileKey
-	data   []byte
-	sum    string
-	clock  uint64
-	tomb   bool   // payload is a tombstone marker, not tile bytes
-	expect string // conditional-write precondition observed on the target
-}
-
 // NewRouter validates cfg and builds a stopped router; call Start to
 // launch the failure detector and repair worker.
 func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: no nodes")
 	}
+	cfg = cfg.withDefaults()
 	names := make([]string, 0, len(cfg.Nodes))
 	members := make(map[string]*member, len(cfg.Nodes))
 	for _, n := range cfg.Nodes {
@@ -330,7 +128,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		members:  members,
 		ledger:   newTombstoneLedger(),
 		ae:       newAEState(),
-		repairCh: make(chan repairJob, cfg.maxRepairQueue()),
+		repairCh: make(chan repairJob, cfg.MaxRepairQueue),
 		stop:     make(chan struct{}),
 	}
 	rt.httpc = &http.Client{Transport: cfg.Transport}
@@ -368,13 +166,13 @@ func (rt *Router) Start() {
 	rt.bg.Add(2)
 	go rt.probeLoop()
 	go rt.repairLoop()
-	if iv := rt.cfg.sweepInterval(); iv > 0 {
+	if rt.cfg.SweepInterval > 0 {
 		rt.bg.Add(1)
-		go rt.sweepLoop(iv)
+		go rt.sweepLoop(rt.cfg.SweepInterval)
 	}
 	if rt.sampler != nil {
 		rt.bg.Add(1)
-		go rt.obsLoop(rt.cfg.sampleInterval())
+		go rt.obsLoop(rt.cfg.SampleInterval)
 	}
 	rt.goBG(rt.recoverDurableHints)
 }
@@ -391,6 +189,11 @@ func (rt *Router) Close() {
 	rt.closeMu.Unlock()
 	close(rt.stop)
 	rt.bg.Wait()
+	// Hang up pooled node connections. A connection the transport dialed
+	// for a leg that was answered or cancelled first may never have
+	// carried a request; the node's graceful Shutdown counts such a
+	// connection as active for its first 5 s and would wait on it.
+	rt.httpc.CloseIdleConnections()
 	// Quiesce the push plane after background work stops emitting:
 	// Close drains every sink queue, so the delivery ledger balances
 	// with pending at zero.
@@ -543,10 +346,10 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, "ready\n")
 		return
 	case "/statz":
-		rt.writeJSON(w, rt.Stats())
+		storage.WriteJSON(w, rt.Stats())
 		return
 	case "/clusterz":
-		rt.writeJSON(w, rt.Status())
+		storage.WriteJSON(w, rt.Status())
 		return
 	case "/metricz":
 		obs.MetricsHandler(rt.reg).ServeHTTP(w, r)
@@ -554,17 +357,23 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/tracez":
 		obs.TracezHandler(rt.tracer).ServeHTTP(w, r)
 		return
-	case "/fleetz":
-		rt.handleFleetz(w, r)
-		return
-	case "/alertz":
-		rt.handleAlertz(w, r)
-		return
-	case "/eventz":
-		rt.handleEventz(w, r)
-		return
-	case "/incidentz":
-		rt.handleIncidentz(w, r)
+	case "/fleetz", "/alertz", "/eventz", "/incidentz":
+		// One plane switch: buildObservability builds every piece these
+		// endpoints serve, or none of them.
+		if rt.sampler == nil {
+			storage.WriteJSONError(w, http.StatusNotFound, "observability plane disabled")
+			return
+		}
+		switch r.URL.Path {
+		case "/fleetz":
+			rt.handleFleetz(w, r)
+		case "/alertz":
+			slo.Handler(rt.sloEng).ServeHTTP(w, r)
+		case "/eventz":
+			eventlog.Handler(rt.journal).ServeHTTP(w, r)
+		default:
+			incident.Handler(rt.incidents).ServeHTTP(w, r)
+		}
 		return
 	}
 	if !strings.HasPrefix(r.URL.Path, "/v1/") {
@@ -613,7 +422,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.handleList(w, r, span, parts[2])
 	case len(parts) == 5 && parts[1] == "tiles":
-		key, err := parseTileKey(parts[2], parts[3], parts[4])
+		key, err := storage.ParseTileKey(parts[2], parts[3], parts[4])
 		if err != nil {
 			rt.clientError(w, http.StatusBadRequest, err.Error())
 			return
@@ -640,23 +449,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func parseTileKey(layer, txs, tys string) (storage.TileKey, error) {
-	if layer == "" {
-		return storage.TileKey{}, errors.New("empty layer")
-	}
-	tx, err := strconv.ParseInt(txs, 10, 32)
-	if err != nil {
-		return storage.TileKey{}, fmt.Errorf("bad tx: %w", err)
-	}
-	ty, err := strconv.ParseInt(tys, 10, 32)
-	if err != nil {
-		return storage.TileKey{}, fmt.Errorf("bad ty: %w", err)
-	}
-	return storage.TileKey{Layer: layer, TX: int32(tx), TY: int32(ty)}, nil
-}
-
 func (rt *Router) retryAfterValue() string {
-	secs := int(rt.cfg.retryAfter().Round(time.Second) / time.Second)
+	secs := int(rt.cfg.RetryAfter.Round(time.Second) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
@@ -670,52 +464,21 @@ func (rt *Router) shed(w http.ResponseWriter, span *obs.Span, msg string) {
 	span.ForceSample()
 	rt.stats.shed.Inc()
 	w.Header().Set("Retry-After", rt.retryAfterValue())
-	rt.writeJSONErrorRaw(w, http.StatusServiceUnavailable, msg)
+	storage.WriteJSONError(w, http.StatusServiceUnavailable, msg)
 }
 
 // clientError answers a malformed or unroutable request definitively
 // (4xx), counted in Served — the router did its job.
 func (rt *Router) clientError(w http.ResponseWriter, status int, msg string) {
 	rt.stats.served.Inc()
-	rt.writeJSONErrorRaw(w, status, msg)
+	storage.WriteJSONError(w, status, msg)
 }
 
 // internalError counts a router-side failure.
 func (rt *Router) internalError(w http.ResponseWriter, span *obs.Span, msg string) {
 	span.Fail(msg)
 	rt.stats.errored.Inc()
-	rt.writeJSONErrorRaw(w, http.StatusInternalServerError, msg)
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		rt.writeJSONErrorRaw(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	data = append(data, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(storage.ChecksumHeader, storage.Checksum(data))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-}
-
-// writeJSONErrorRaw mirrors the tile-server error shape ({"error",
-// "trace_id"}) so clients see one protocol whether they hit a node or
-// the router.
-func (rt *Router) writeJSONErrorRaw(w http.ResponseWriter, status int, msg string) {
-	body := map[string]string{"error": msg}
-	if trace := w.Header().Get(obs.TraceHeader); trace != "" {
-		body["trace_id"] = trace
-	}
-	data, err := json.Marshal(body)
-	if err != nil {
-		data = []byte(`{"error":"internal error"}`)
-	}
-	data = append(data, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(data)
+	storage.WriteJSONError(w, http.StatusInternalServerError, msg)
 }
 
 // ClusterStatus is the /clusterz document: membership health, ring
@@ -764,1104 +527,30 @@ func (rt *Router) Status() ClusterStatus {
 
 func (rt *Router) tombstoneStatus() []TombstoneStatus {
 	snap := rt.ledger.snapshot()
-	out := make([]TombstoneStatus, 0, len(snap))
-	for k, e := range snap {
-		out = append(out, TombstoneStatus{
+	keys := make([]storage.TileKey, 0, len(snap))
+	for k := range snap {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	out := make([]TombstoneStatus, len(keys))
+	for i, k := range keys {
+		e := snap[k]
+		out[i] = TombstoneStatus{
 			Layer: k.Layer, TX: k.TX, TY: k.TY,
 			Clock: e.Clock, Created: e.Created, TTLSeconds: e.TTLSeconds,
-		})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.TX != b.TX {
-			return a.TX < b.TX
-		}
-		return a.TY < b.TY
-	})
 	return out
 }
 
-// ---- shard legs ------------------------------------------------------
-
-// legResult is one replica's answer to a read.
-type legResult struct {
-	m         *member
-	ok        bool // definitive answer: found tile, tombstone, or authoritative miss
-	found     bool
-	tomb      bool // the replica holds a deletion marker; data is the marker bytes
-	data      []byte
-	sum       string
-	clock     uint64
-	integrity bool // reachable but served damaged bytes — repairable
-	errMsg    string
-}
-
-// legExpectOf renders a leg's observed state as a conditional-write
-// precondition: whatever mutation follows is accepted by the shard only
-// if the state is still exactly this.
-func legExpectOf(l *legResult) string {
-	switch {
-	case l.tomb:
-		return storage.ReplicaState{Tomb: true, Clock: l.clock}.String()
-	case l.found:
-		return storage.ReplicaState{Found: true, Clock: l.clock, Sum: l.sum}.String()
-	default:
-		return "absent"
-	}
-}
-
-// Semantic (non-error) write outcomes: the shard answered, ordered the
-// write, and refused it deliberately. Neither strikes the failure
-// detector nor counts as a shard error.
-var (
-	// errSuperseded is a 409: the write is ordered below the replica's
-	// current state (a stale replay losing to a tombstone, or an
-	// obsolete tombstone losing to a newer tile). The write is
-	// accepted-and-immediately-superseded in LWW terms.
-	errSuperseded = errors.New("cluster: write superseded by fresher state")
-	// errPrecondition is a 412: the ExpectHeader precondition failed —
-	// the replica's state moved between observation and write.
-	errPrecondition = errors.New("cluster: write precondition failed")
-)
-
-func (rt *Router) tileURL(base string, key storage.TileKey) string {
-	return fmt.Sprintf("%s/v1/tiles/%s/%d/%d", base, url.PathEscape(key.Layer), key.TX, key.TY)
-}
-
-// legContext detaches a shard leg from the client request: a read
-// finisher keeps collecting answers for repair after the response is
-// written, so legs must not die with the handler. Trace identity is
-// carried over explicitly.
-func (rt *Router) legContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	detached := obs.WithTraceID(context.Background(), obs.TraceID(ctx))
-	return context.WithTimeout(detached, rt.cfg.shardTimeout())
-}
-
-// legHeaders stamps trace propagation headers on a shard request: the
-// trace ID plus the leg's span ID, so the node-side server span nests
-// under this exact leg in /tracez.
-func legHeaders(req *http.Request, trace string, leg *obs.Span) {
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-	}
-	if id := leg.IDHex(); id != "" {
-		req.Header.Set(obs.SpanHeader, id)
-	}
-}
-
-// shardGet reads one replica and classifies the answer. Transport
-// errors strike the failure detector; damaged payloads (checksum
-// mismatch, unreadable header) are flagged for repair.
-func (rt *Router) shardGet(ctx context.Context, trace string, leg *obs.Span, m *member, key storage.TileKey) legResult {
-	res := legResult{m: m}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.tileURL(m.node.Base, key), nil)
-	if err != nil {
-		res.errMsg = err.Error()
-		return res
-	}
-	legHeaders(req, trace, leg)
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		rt.noteFailure(m, err.Error())
-		rt.stats.shardErrors.With(m.node.Name).Inc()
-		res.errMsg = err.Error()
-		return res
-	}
-	defer func() { _ = resp.Body.Close() }()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.maxTileBytes()+1))
-		if err != nil {
-			rt.noteFailure(m, err.Error())
-			rt.stats.shardErrors.With(m.node.Name).Inc()
-			res.errMsg = err.Error()
-			return res
-		}
-		sum := storage.Checksum(data)
-		if want := resp.Header.Get(storage.ChecksumHeader); want != "" && want != sum {
-			rt.stats.integrityFailures.Inc()
-			res.integrity = true
-			res.errMsg = "checksum mismatch"
-			return res
-		}
-		clock, err := storage.PeekClock(data)
-		if err != nil {
-			if ts, derr := storage.DecodeTombstone(data); derr == nil {
-				// A parked deletion marker read back from a hint layer
-				// (hint layers store payloads raw).
-				res.ok, res.tomb, res.data, res.sum, res.clock = true, true, data, sum, ts.Clock
-				return res
-			}
-			rt.stats.integrityFailures.Inc()
-			res.integrity = true
-			res.errMsg = "unreadable tile: " + err.Error()
-			return res
-		}
-		res.ok, res.found, res.data, res.sum, res.clock = true, true, data, sum, clock
-		return res
-	case resp.StatusCode == http.StatusNotFound:
-		if resp.Header.Get(storage.TombstoneHeader) != "" {
-			// Deleted, not merely absent: the body carries the marker.
-			data, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.maxTileBytes()+1))
-			if err == nil {
-				sum := storage.Checksum(data)
-				want := resp.Header.Get(storage.ChecksumHeader)
-				if want == "" || want == sum {
-					if ts, derr := storage.DecodeTombstone(data); derr == nil {
-						res.ok, res.tomb, res.data, res.sum, res.clock = true, true, data, sum, ts.Clock
-						return res
-					}
-				}
-			}
-			rt.stats.integrityFailures.Inc()
-			res.integrity = true
-			res.errMsg = "unreadable tombstone"
-			return res
-		}
-		res.ok = true // an authoritative miss is a valid quorum answer
-		return res
-	default:
-		rt.stats.shardErrors.With(m.node.Name).Inc()
-		res.errMsg = "status " + resp.Status
-		return res
-	}
-}
-
-// shardPut writes one replica (2xx is success). A non-empty expect is
-// sent as the conditional-write precondition; 412 and 409 come back as
-// errPrecondition/errSuperseded — semantic outcomes the shard decided
-// deliberately, not shard failures.
-func (rt *Router) shardPut(ctx context.Context, trace string, leg *obs.Span, m *member, key storage.TileKey, data []byte, sum, expect string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, rt.tileURL(m.node.Base, key), bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	legHeaders(req, trace, leg)
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(storage.ChecksumHeader, sum)
-	if expect != "" {
-		req.Header.Set(storage.ExpectHeader, expect)
-	}
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		rt.noteFailure(m, err.Error())
-		rt.stats.shardErrors.With(m.node.Name).Inc()
-		return err
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	_ = resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusConflict:
-		return errSuperseded
-	case resp.StatusCode == http.StatusPreconditionFailed:
-		return errPrecondition
-	case resp.StatusCode < 200 || resp.StatusCode >= 300:
-		rt.stats.shardErrors.With(m.node.Name).Inc()
-		return errors.New("status " + resp.Status)
-	}
-	return nil
-}
-
-// shardDelete deletes one replica; a 404 counts as success (already
-// gone). A non-empty expect makes the delete conditional (412 =>
-// errPrecondition) — tombstone GC uses this to reclaim exactly the
-// marker it observed.
-func (rt *Router) shardDelete(ctx context.Context, trace string, leg *obs.Span, m *member, key storage.TileKey, expect string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, rt.tileURL(m.node.Base, key), nil)
-	if err != nil {
-		return err
-	}
-	legHeaders(req, trace, leg)
-	if expect != "" {
-		req.Header.Set(storage.ExpectHeader, expect)
-	}
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		rt.noteFailure(m, err.Error())
-		rt.stats.shardErrors.With(m.node.Name).Inc()
-		return err
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	_ = resp.Body.Close()
-	if resp.StatusCode == http.StatusPreconditionFailed {
-		return errPrecondition
-	}
-	if resp.StatusCode != http.StatusNotFound && (resp.StatusCode < 200 || resp.StatusCode >= 300) {
-		rt.stats.shardErrors.With(m.node.Name).Inc()
-		return errors.New("status " + resp.Status)
-	}
-	return nil
-}
-
-// The cluster's total order over replica states is
-// storage.FresherState: clock first, tombstone beats live on a tie,
-// payload bytes as final tiebreak. It is deterministic, so every
-// quorum read, repair, and sweep picks the same winner and replicas
-// converge byte-identical — including agreeing on deletions.
-
-// ---- read path -------------------------------------------------------
-
-func (rt *Router) handleTileGet(w http.ResponseWriter, r *http.Request, span *obs.Span, key storage.TileKey) {
-	rt.stats.reads.Inc()
-	owners := rt.ownersFor(key)
-	if len(owners) == 0 {
-		rt.internalError(w, span, "no owners for key")
-		return
-	}
-	trace := obs.TraceID(r.Context())
-	need := rt.readQuorum()
-	if need > len(owners) {
-		need = len(owners)
-	}
-	span.SetAttrInt("owners", int64(len(owners)))
-
-	results := make(chan legResult, len(owners))
-	launched := 0
-	for _, m := range owners {
-		if !m.Alive() {
-			// A known-dead owner cannot contribute to quorum; fail its
-			// leg instantly instead of burning ShardTimeout on it.
-			results <- legResult{m: m, errMsg: "node down"}
-			launched++
-			continue
-		}
-		// Child spans are started sequentially here (the parent span is
-		// goroutine-owned); each leg goroutine then owns its child.
-		leg := span.StartChild("shard.read")
-		leg.SetAttr("node", m.node.Name)
-		rt.stats.shardRouted.With(m.node.Name).Inc()
-		launched++
-		go func(m *member, leg *obs.Span) {
-			ctx, cancel := rt.legContext(r.Context())
-			defer cancel()
-			res := rt.shardGet(ctx, trace, leg, m, key)
-			if res.errMsg != "" {
-				leg.Fail(res.errMsg)
-			}
-			leg.End()
-			results <- res
-		}(m, leg)
-	}
-
-	var all []legResult
-	answers := 0
-	var winner *legResult
-	responded := false
-	for len(all) < launched {
-		res := <-results
-		all = append(all, res)
-		if res.ok {
-			answers++
-			if (res.found || res.tomb) && (winner == nil ||
-				storage.FresherState(res.tomb, res.clock, res.data, winner.tomb, winner.clock, winner.data)) {
-				cp := res
-				winner = &cp
-			}
-		}
-		if !responded && answers >= need {
-			responded = true
-			if winner != nil && winner.found {
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Header().Set(storage.ChecksumHeader, winner.sum)
-				_, _ = w.Write(winner.data)
-			} else {
-				// Absent and tombstoned both read as 404 to clients; the
-				// marker is cluster machinery, not payload.
-				rt.writeJSONErrorRaw(w, http.StatusNotFound, "tile not found")
-			}
-			rt.stats.served.Inc()
-			// Remaining legs finish in the background purely to feed
-			// read-repair; the client is already answered.
-			remaining := launched - len(all)
-			if remaining > 0 {
-				snapshot := make([]legResult, len(all))
-				copy(snapshot, all)
-				if rt.goBG(func() { rt.finishRead(key, results, snapshot, remaining) }) {
-					return
-				}
-			}
-			break
-		}
-	}
-	if !responded {
-		rt.stats.quorumFailures.Inc()
-		span.Fail("read quorum failed")
-		rt.shed(w, span, fmt.Sprintf("read quorum failed: %d/%d answers", answers, need))
-	}
-	rt.scheduleRepairs(key, all)
-}
-
-// finishRead drains the leftover legs of an already-answered read and
-// feeds the full result set to read-repair, using the freshest replica
-// seen anywhere (which may be newer than the one served).
-func (rt *Router) finishRead(key storage.TileKey, results chan legResult, all []legResult, remaining int) {
-	for i := 0; i < remaining; i++ {
-		select {
-		case res := <-results:
-			all = append(all, res)
-		case <-rt.stop:
-			return
-		}
-	}
-	rt.scheduleRepairs(key, all)
-}
-
-// scheduleRepairs compares every leg against the winner and queues a
-// repair for each stale, missing, or damaged replica that is still
-// reachable. Unreachable replicas are the hinted-handoff path's
-// problem, not read-repair's.
-func (rt *Router) scheduleRepairs(key storage.TileKey, legs []legResult) {
-	var winner *legResult
-	for i := range legs {
-		l := &legs[i]
-		if (l.found || l.tomb) && (winner == nil ||
-			storage.FresherState(l.tomb, l.clock, l.data, winner.tomb, winner.clock, winner.data)) {
-			winner = l
-		}
-	}
-	if winner == nil {
-		return
-	}
-	for i := range legs {
-		l := &legs[i]
-		if l.m == winner.m {
-			continue
-		}
-		stale := false
-		switch {
-		case l.integrity:
-			stale = true // damaged bytes: overwrite with the winner
-		case !l.ok:
-			continue // unreachable: hints cover it
-		case !l.found && !l.tomb:
-			// Absent — including absent where the winner is a tombstone:
-			// markers propagate to every owner so absences converge too,
-			// and GC reclaims them only once all owners hold one.
-			stale = true
-			rt.stats.staleReads.Inc()
-		case l.tomb != winner.tomb || !bytes.Equal(l.data, winner.data):
-			stale = true
-			rt.stats.staleReads.Inc()
-		}
-		if !stale {
-			continue
-		}
-		job := repairJob{
-			m: l.m, key: key, data: winner.data, sum: winner.sum,
-			clock: winner.clock, tomb: winner.tomb, expect: legExpectOf(l),
-		}
-		if l.integrity {
-			// A damaged replica's true state is unknowable; overwrite it.
-			job.expect = ""
-		}
-		select {
-		case rt.repairCh <- job:
-			rt.stats.repairsScheduled.Inc()
-		default:
-			rt.stats.repairsDropped.Inc()
-		}
-	}
-}
-
-// repairLoop is the read-repair worker: it re-checks the target's
-// current version (another repair or a direct write may have landed
-// first) and writes the winner only if the target is still behind.
-func (rt *Router) repairLoop() {
-	defer rt.bg.Done()
-	for {
-		select {
-		case <-rt.stop:
-			return
-		case job := <-rt.repairCh:
-			rt.repair(job)
-		}
-	}
-}
-
-func (rt *Router) repair(job repairJob) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.shardTimeout())
-	defer cancel()
-	_, span := rt.tracer.StartSpan(ctx, "cluster.repair")
-	span.SetAttr("node", job.m.node.Name)
-	span.SetAttr("layer", job.key.Layer)
-	defer span.End()
-	cur := rt.shardGet(ctx, span.TraceID(), span, job.m, job.key)
-	if (cur.found || cur.tomb) &&
-		!storage.FresherState(job.tomb, job.clock, job.data, cur.tomb, cur.clock, cur.data) {
-		rt.stats.repairsSkipped.Inc()
-		return
-	}
-	if !cur.ok && !cur.integrity {
-		// Target unreachable — the hint path owns convergence now.
-		rt.stats.repairsSkipped.Inc()
-		span.Fail("target unreachable")
-		return
-	}
-	// The write is conditional on the state just re-read: if anything
-	// lands on the replica between this check and the PUT, the shard
-	// answers 412 and the repair steps aside instead of overwriting the
-	// fresher write — the read-then-overwrite race is closed at the
-	// shard, not by hoping the queue is fast.
-	expect := ""
-	if !cur.integrity {
-		expect = legExpectOf(&cur)
-	}
-	if err := rt.shardPut(ctx, span.TraceID(), span, job.m, job.key, job.data, job.sum, expect); err != nil {
-		rt.stats.repairsSkipped.Inc()
-		if !errors.Is(err, errPrecondition) && !errors.Is(err, errSuperseded) {
-			span.Fail(err.Error())
-		}
-		return
-	}
-	rt.stats.repairsDone.Inc()
-	rt.stats.shardRepairs.With(job.m.node.Name).Inc()
-}
-
-// ---- write path ------------------------------------------------------
-
-func (rt *Router) handleTilePut(w http.ResponseWriter, r *http.Request, span *obs.Span, key storage.TileKey) {
-	rt.stats.writes.Inc()
-	limit := rt.cfg.maxTileBytes()
-	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		rt.clientError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if int64(len(data)) > limit {
-		rt.clientError(w, http.StatusRequestEntityTooLarge, "tile too large")
-		return
-	}
-	sum := storage.Checksum(data)
-	if want := r.Header.Get(storage.ChecksumHeader); want != "" && want != sum {
-		w.Header().Set(storage.TransientHeader, "checksum-mismatch")
-		rt.clientError(w, http.StatusBadRequest,
-			fmt.Sprintf("checksum mismatch: got %s want %s", sum, want))
-		return
-	}
-	clock, err := storage.PeekClock(data)
-	if err != nil {
-		// The router refuses what every node would refuse, without
-		// burning R legs on it.
-		rt.clientError(w, http.StatusUnprocessableEntity, "invalid tile: "+err.Error())
-		return
-	}
-
-	owners := rt.ownersFor(key)
-	if len(owners) == 0 {
-		rt.internalError(w, span, "no owners for key")
-		return
-	}
-	trace := obs.TraceID(r.Context())
-	need := rt.writeQuorum()
-	if need > len(owners) {
-		need = len(owners)
-	}
-
-	type putOutcome struct {
-		m   *member
-		err error
-	}
-	results := make(chan putOutcome, len(owners))
-	inflight := 0
-	var toHint []*member
-	for _, m := range owners {
-		if !m.Alive() {
-			toHint = append(toHint, m)
-			continue
-		}
-		leg := span.StartChild("shard.write")
-		leg.SetAttr("node", m.node.Name)
-		rt.stats.shardRouted.With(m.node.Name).Inc()
-		inflight++
-		go func(m *member, leg *obs.Span) {
-			ctx, cancel := rt.legContext(r.Context())
-			defer cancel()
-			err := rt.shardPut(ctx, trace, leg, m, key, data, sum, "")
-			if err != nil {
-				leg.Fail(err.Error())
-			}
-			leg.End()
-			results <- putOutcome{m: m, err: err}
-		}(m, leg)
-	}
-	acked := 0
-	for i := 0; i < inflight; i++ {
-		out := <-results
-		// errSuperseded acks too: the shard ordered the write below a
-		// tombstone it holds — accepted-and-immediately-superseded is a
-		// completed write under last-writer-wins, not a failure.
-		if out.err == nil || errors.Is(out.err, errSuperseded) {
-			acked++
-		} else {
-			toHint = append(toHint, out.m)
-		}
-	}
-	hinted := 0
-	for _, m := range toHint {
-		h := &hint{Target: m.node.Name, Key: key, Data: data, Clock: clock, Sum: sum}
-		if rt.queueHint(r.Context(), trace, span, h, owners) {
-			hinted++
-		}
-	}
-	span.SetAttrInt("acked", int64(acked))
-	span.SetAttrInt("hinted", int64(hinted))
-	// Sloppy quorum: a durably parked hint is a promise the write will
-	// reach its owner, so it counts toward the write quorum — this is
-	// what keeps writes available while a replica is dead.
-	if acked+hinted < need {
-		rt.stats.quorumFailures.Inc()
-		span.Fail("write quorum failed")
-		rt.shed(w, span, fmt.Sprintf("write quorum failed: %d acks + %d hints < %d", acked, hinted, need))
-		return
-	}
-	rt.stats.served.Inc()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleTileDelete makes a delete as durable as a write: instead of
-// issuing bare DELETEs (which a dead owner would simply miss), the
-// router writes a tombstone marker to every owner. The marker's clock
-// dominates every version observable on live owners, so replays of
-// erased writes lose to it; dead owners get durable tombstone hints
-// parked on a fallback node's disk, so the delete survives even a
-// router crash while the owner is down.
-func (rt *Router) handleTileDelete(w http.ResponseWriter, r *http.Request, span *obs.Span, key storage.TileKey) {
-	rt.stats.writes.Inc()
-	owners := rt.ownersFor(key)
-	if len(owners) == 0 {
-		rt.internalError(w, span, "no owners for key")
-		return
-	}
-	trace := obs.TraceID(r.Context())
-	need := rt.writeQuorum()
-	if need > len(owners) {
-		need = len(owners)
-	}
-
-	// Phase 1: observe the highest clock among reachable owners, so the
-	// marker is stamped above everything the delete must erase.
-	clockCh := make(chan legResult, len(owners))
-	probes := 0
-	for _, m := range owners {
-		if !m.Alive() {
-			continue
-		}
-		leg := span.StartChild("shard.read")
-		leg.SetAttr("node", m.node.Name)
-		probes++
-		go func(m *member, leg *obs.Span) {
-			ctx, cancel := rt.legContext(r.Context())
-			defer cancel()
-			res := rt.shardGet(ctx, trace, leg, m, key)
-			if res.errMsg != "" {
-				leg.Fail(res.errMsg)
-			}
-			leg.End()
-			clockCh <- res
-		}(m, leg)
-	}
-	var maxClock uint64
-	okProbes := 0
-	for i := 0; i < probes; i++ {
-		res := <-clockCh
-		if !res.ok {
-			continue
-		}
-		okProbes++
-		if (res.found || res.tomb) && res.clock > maxClock {
-			maxClock = res.clock
-		}
-	}
-	// The marker's clock is only trustworthy if a read quorum answered
-	// definitively: with fewer, the stamp could land below a version an
-	// unreachable owner holds, and the delete would ack 204 yet erase
-	// nothing. Shed instead — the client retries when owners recover.
-	probeNeed := rt.readQuorum()
-	if probeNeed > len(owners) {
-		probeNeed = len(owners)
-	}
-	if okProbes < probeNeed {
-		rt.stats.quorumFailures.Inc()
-		span.Fail("delete probe quorum failed")
-		rt.shed(w, span, fmt.Sprintf("delete probe quorum failed: %d definitive answers from %d probes, need %d",
-			okProbes, probes, probeNeed))
-		return
-	}
-
-	ts := storage.Tombstone{
-		Layer: key.Layer, TX: key.TX, TY: key.TY,
-		Clock:      maxClock + 1,
-		Created:    uint64(time.Now().Unix()),
-		TTLSeconds: uint64(rt.cfg.tombstoneTTL() / time.Second),
-	}
-	// Built once: every owner receives byte-identical marker bytes.
-	marker := storage.EncodeTombstone(ts)
-	sum := storage.Checksum(marker)
-
-	// Phase 2: replicate the marker exactly like a write, with sloppy
-	// quorum and durable hints for unreachable owners.
-	type delOutcome struct {
-		m   *member
-		err error
-	}
-	results := make(chan delOutcome, len(owners))
-	inflight := 0
-	var toHint []*member
-	for _, m := range owners {
-		if !m.Alive() {
-			toHint = append(toHint, m)
-			continue
-		}
-		leg := span.StartChild("shard.write")
-		leg.SetAttr("node", m.node.Name)
-		rt.stats.shardRouted.With(m.node.Name).Inc()
-		inflight++
-		go func(m *member, leg *obs.Span) {
-			ctx, cancel := rt.legContext(r.Context())
-			defer cancel()
-			err := rt.shardPut(ctx, trace, leg, m, key, marker, sum, "")
-			if err != nil {
-				leg.Fail(err.Error())
-			}
-			leg.End()
-			results <- delOutcome{m: m, err: err}
-		}(m, leg)
-	}
-	acked := 0
-	for i := 0; i < inflight; i++ {
-		out := <-results
-		if out.err == nil || errors.Is(out.err, errSuperseded) {
-			// 409 means a write newer than phase 1 observed landed in
-			// between; the delete is ordered before it and erased nothing
-			// — still a completed delete under last-writer-wins.
-			acked++
-		} else {
-			toHint = append(toHint, out.m)
-		}
-	}
-	hinted := 0
-	for _, m := range toHint {
-		h := &hint{Target: m.node.Name, Key: key, Data: marker, Tomb: true, Clock: ts.Clock, Sum: sum}
-		if rt.queueHint(r.Context(), trace, span, h, owners) {
-			hinted++
-		}
-	}
-	if acked+hinted < need {
-		rt.stats.quorumFailures.Inc()
-		span.Fail("delete quorum failed")
-		rt.shed(w, span, fmt.Sprintf("delete quorum failed: %d acks + %d hints < %d", acked, hinted, need))
-		return
-	}
-	if rt.ledger.record(key, ledgerEntry{Clock: ts.Clock, Created: ts.Created, TTLSeconds: ts.TTLSeconds}) {
-		rt.stats.tombstonesWritten.Inc()
-	}
-	rt.stats.served.Inc()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// ---- hinted handoff --------------------------------------------------
-
-// queueHint parks a write its owner missed: indexed in the router's
-// bounded buffer, plus (for PUT hints) a durable copy on the first live
-// fallback node under a hint-- layer. Returns false when the buffer is
-// full — that leg is then simply failed, never silently dropped.
-func (rt *Router) queueHint(ctx context.Context, trace string, span *obs.Span, h *hint, owners []*member) bool {
-	if h.Data != nil {
-		if fb := rt.fallbackFor(h.Key, owners); fb != nil {
-			hk := storage.TileKey{Layer: hintLayer(h.Target, h.Key.Layer), TX: h.Key.TX, TY: h.Key.TY}
-			leg := span.StartChild("shard.hint")
-			leg.SetAttr("node", fb.node.Name)
-			leg.SetAttr("target", h.Target)
-			legCtx, cancel := rt.legContext(ctx)
-			err := rt.shardPut(legCtx, trace, leg, fb, hk, h.Data, h.Sum, "")
-			cancel()
-			if err != nil {
-				leg.Fail(err.Error())
-			} else {
-				h.Fallback = fb.node.Name
-			}
-			leg.End()
-		}
-	}
-	switch rt.hints.add(h) {
-	case hintAdded:
-		rt.stats.hintsQueued.Inc()
-	case hintReplaced:
-		// The superseded hint will never replay — its write is subsumed
-		// by this newer one. Counted so queued == drained + superseded +
-		// dropped + pending stays exact.
-		rt.stats.hintsQueued.Inc()
-		rt.stats.hintsSuperseded.Inc()
-	case hintFull:
-		rt.stats.hintsDropped.Inc()
-		return false
-	}
-	rt.stats.shardHinted.With(h.Target).Inc()
-	return true
-}
-
-// startDrainHints replays everything a recovered node missed. One
-// drain per target at a time; the probe loop re-triggers if hints
-// remain (drain aborted by a re-kill) or arrive later.
-func (rt *Router) startDrainHints(m *member) {
-	if !m.beginDrain() {
-		return
-	}
-	if !rt.goBG(func() {
-		defer m.endDrain()
-		rt.drainHints(m)
-	}) {
-		m.endDrain()
-	}
-}
-
-func (rt *Router) drainHints(m *member) {
-	batch := rt.hints.take(m.node.Name)
-	if len(batch) == 0 {
-		return
-	}
-	// Deterministic replay order for debuggability.
-	sort.Slice(batch, func(i, j int) bool {
-		a, b := batch[i].Key, batch[j].Key
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.TX != b.TX {
-			return a.TX < b.TX
-		}
-		return a.TY < b.TY
-	})
-	rt.log.Warn("draining hints", "node", m.node.Name, "count", len(batch))
-	for i, h := range batch {
-		select {
-		case <-rt.stop:
-			rt.restoreHints(batch[i:])
-			return
-		default:
-		}
-		if err := rt.replayHint(m, h); err != nil {
-			// Target likely died again: put the rest back and let the
-			// next up-transition resume.
-			rt.log.Warn("hint replay failed", "node", m.node.Name, "error", err.Error())
-			rt.restoreHints(batch[i:])
-			return
-		}
-		rt.stats.hintsDrained.Inc()
-		rt.stats.shardDrained.With(m.node.Name).Inc()
-	}
-	rt.log.Warn("hints drained", "node", m.node.Name, "count", len(batch))
-	rt.event(eventlog.TypeHintDrain, m.node.Name, fmt.Sprintf("%d hints replayed", len(batch)), "")
-}
-
-// replayHint delivers one parked write to its recovered owner, unless
-// the owner already has something fresher (a read-repair or a direct
-// write got there first). On success the durable fallback copy is
-// deleted best-effort.
-func (rt *Router) replayHint(m *member, h *hint) error {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.shardTimeout())
-	defer cancel()
-	_, span := rt.tracer.StartSpan(ctx, "cluster.handoff")
-	span.SetAttr("node", m.node.Name)
-	span.SetAttr("layer", h.Key.Layer)
-	defer span.End()
-	trace := span.TraceID()
-	if h.Data == nil {
-		// Legacy memory-only delete hint (pre-tombstone); replay as a bare
-		// delete since there is no marker to deliver.
-		if err := rt.shardDelete(ctx, trace, span, m, h.Key, ""); err != nil {
-			span.Fail(err.Error())
-			return err
-		}
-		return nil
-	}
-	if h.Tomb {
-		// Tombstone markers carry their own ordering: the shard accepts,
-		// no-ops (older than existing marker), or rejects with 409 (a
-		// fresher live tile landed) — all of which complete the hint.
-		if err := rt.shardPut(ctx, trace, span, m, h.Key, h.Data, h.Sum, ""); err != nil && !errors.Is(err, errSuperseded) {
-			span.Fail(err.Error())
-			return err
-		}
-	} else {
-		cur := rt.shardGet(ctx, trace, span, m, h.Key)
-		if !cur.ok && !cur.integrity {
-			span.Fail(cur.errMsg)
-			return errors.New(cur.errMsg)
-		}
-		if (!cur.found && !cur.tomb) || storage.FresherState(false, h.Clock, h.Data, cur.tomb, cur.clock, cur.data) {
-			if err := rt.shardPut(ctx, trace, span, m, h.Key, h.Data, h.Sum, ""); err != nil && !errors.Is(err, errSuperseded) {
-				span.Fail(err.Error())
-				return err
-			}
-		}
-	}
-	if h.Fallback != "" {
-		rt.mu.RLock()
-		fb := rt.members[h.Fallback]
-		rt.mu.RUnlock()
-		if fb != nil {
-			hk := storage.TileKey{Layer: hintLayer(h.Target, h.Key.Layer), TX: h.Key.TX, TY: h.Key.TY}
-			_ = rt.shardDelete(ctx, trace, span, fb, hk, "")
-		}
-	}
-	return nil
-}
-
-// restoreHints puts an unfinished drain batch back without recounting
-// it as queued; a hint that raced a newer write for the same key is
-// dropped as superseded.
-func (rt *Router) restoreHints(batch []*hint) {
-	for _, h := range batch {
-		switch rt.hints.restore(h) {
-		case hintAdded:
-		case hintReplaced:
-			rt.stats.hintsSuperseded.Inc()
-		case hintFull:
-			rt.stats.hintsDropped.Inc()
-		}
-	}
-}
-
-// recoverDurableHints rebuilds the in-memory hint buffer from payloads
-// parked on fallback nodes' disks under hint-- layers. A fresh router
-// over the same nodes (crash restart, failover) runs this once on
-// Start, so parked writes — and parked deletes — survive the router
-// process. Unreachable fallbacks are skipped; the sweeper converges
-// whatever recovery misses.
-func (rt *Router) recoverDurableHints() {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.shardTimeout()*4)
-	defer cancel()
-	_, span := rt.tracer.StartSpan(ctx, "cluster.hint_recovery")
-	defer span.End()
-	trace := span.TraceID()
-	recovered := 0
-	type entry struct {
-		TX int32 `json:"tx"`
-		TY int32 `json:"ty"`
-	}
-	for _, fb := range rt.memberList() {
-		if !fb.Alive() {
-			continue
-		}
-		var layers []string
-		leg := span.StartChild("shard.layers")
-		leg.SetAttr("node", fb.node.Name)
-		lctx, lcancel := rt.legContext(ctx)
-		err := rt.shardJSON(lctx, trace, leg, fb, "/v1/layers", &layers)
-		lcancel()
-		if err != nil {
-			leg.Fail(err.Error())
-		}
-		leg.End()
-		if err != nil {
-			continue
-		}
-		for _, hl := range layers {
-			target, origLayer, ok := parseHintLayer(hl)
-			if !ok {
-				continue
-			}
-			var keys []entry
-			leg := span.StartChild("shard.list")
-			leg.SetAttr("node", fb.node.Name)
-			lctx, lcancel := rt.legContext(ctx)
-			err := rt.shardJSON(lctx, trace, leg, fb, "/v1/tiles/"+url.PathEscape(hl), &keys)
-			lcancel()
-			if err != nil {
-				leg.Fail(err.Error())
-			}
-			leg.End()
-			if err != nil {
-				continue
-			}
-			for _, e := range keys {
-				hk := storage.TileKey{Layer: hl, TX: e.TX, TY: e.TY}
-				leg := span.StartChild("shard.read")
-				leg.SetAttr("node", fb.node.Name)
-				lctx, lcancel := rt.legContext(ctx)
-				res := rt.shardGet(lctx, trace, leg, fb, hk)
-				lcancel()
-				if res.errMsg != "" {
-					leg.Fail(res.errMsg)
-				}
-				leg.End()
-				if !res.ok || (!res.found && !res.tomb) {
-					continue
-				}
-				h := &hint{
-					Target:   target,
-					Fallback: fb.node.Name,
-					Key:      storage.TileKey{Layer: origLayer, TX: e.TX, TY: e.TY},
-					Data:     res.data,
-					Tomb:     res.tomb,
-					Clock:    res.clock,
-					Sum:      res.sum,
-				}
-				if rt.hints.restore(h) == hintAdded {
-					rt.stats.hintsQueued.Inc()
-					rt.stats.hintsRecovered.Inc()
-					rt.stats.shardHinted.With(target).Inc()
-					recovered++
-				}
-			}
-		}
-	}
-	if recovered > 0 {
-		rt.log.Warn("recovered durable hints", "count", recovered)
-	}
-}
-
-// ---- merged listings -------------------------------------------------
-
-// handleLayers merges /v1/layers across all live nodes, hiding
-// cluster-internal hint layers. One reachable node suffices; zero is a
-// shed.
-func (rt *Router) handleLayers(w http.ResponseWriter, r *http.Request, span *obs.Span) {
-	rt.stats.reads.Inc()
-	trace := obs.TraceID(r.Context())
-	type layersOut struct {
-		layers []string
-		err    error
-	}
-	ms := rt.memberList()
-	results := make(chan layersOut, len(ms))
-	inflight := 0
-	for _, m := range ms {
-		if !m.Alive() {
-			continue
-		}
-		leg := span.StartChild("shard.layers")
-		leg.SetAttr("node", m.node.Name)
-		inflight++
-		go func(m *member, leg *obs.Span) {
-			ctx, cancel := rt.legContext(r.Context())
-			defer cancel()
-			var out []string
-			err := rt.shardJSON(ctx, trace, leg, m, "/v1/layers", &out)
-			if err != nil {
-				leg.Fail(err.Error())
-			}
-			leg.End()
-			results <- layersOut{layers: out, err: err}
-		}(m, leg)
-	}
-	seen := map[string]bool{}
-	okCount := 0
-	for i := 0; i < inflight; i++ {
-		res := <-results
-		if res.err != nil {
-			continue
-		}
-		okCount++
-		for _, l := range res.layers {
-			if !storage.IsInternalLayer(l) {
-				seen[l] = true
-			}
-		}
-	}
-	if okCount == 0 {
-		span.Fail("no node answered layers")
-		rt.shed(w, span, "no node reachable")
-		return
-	}
-	merged := make([]string, 0, len(seen))
-	for l := range seen {
-		merged = append(merged, l)
-	}
-	sort.Strings(merged)
-	rt.stats.served.Inc()
-	rt.writeJSON(w, merged)
-}
-
-// handleList merges a layer's tile listing across all live nodes.
-func (rt *Router) handleList(w http.ResponseWriter, r *http.Request, span *obs.Span, layer string) {
-	rt.stats.reads.Inc()
-	if storage.IsInternalLayer(layer) {
-		rt.clientError(w, http.StatusNotFound, "not found")
-		return
-	}
-	trace := obs.TraceID(r.Context())
-	type entry struct {
-		TX int32 `json:"tx"`
-		TY int32 `json:"ty"`
-	}
-	type listOut struct {
-		keys []entry
-		err  error
-	}
-	ms := rt.memberList()
-	results := make(chan listOut, len(ms))
-	inflight := 0
-	for _, m := range ms {
-		if !m.Alive() {
-			continue
-		}
-		leg := span.StartChild("shard.list")
-		leg.SetAttr("node", m.node.Name)
-		inflight++
-		go func(m *member, leg *obs.Span) {
-			ctx, cancel := rt.legContext(r.Context())
-			defer cancel()
-			var out []entry
-			err := rt.shardJSON(ctx, trace, leg, m, "/v1/tiles/"+url.PathEscape(layer), &out)
-			if err != nil {
-				leg.Fail(err.Error())
-			}
-			leg.End()
-			results <- listOut{keys: out, err: err}
-		}(m, leg)
-	}
-	seen := map[entry]bool{}
-	okCount := 0
-	for i := 0; i < inflight; i++ {
-		res := <-results
-		if res.err != nil {
-			continue
-		}
-		okCount++
-		for _, e := range res.keys {
-			seen[e] = true
-		}
-	}
-	if okCount == 0 {
-		span.Fail("no node answered list")
-		rt.shed(w, span, "no node reachable")
-		return
-	}
-	merged := make([]entry, 0, len(seen))
-	for e := range seen {
-		merged = append(merged, e)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].TX != merged[j].TX {
-			return merged[i].TX < merged[j].TX
-		}
-		return merged[i].TY < merged[j].TY
-	})
-	rt.stats.served.Inc()
-	rt.writeJSON(w, merged)
-}
-
-// shardJSON fetches one node's JSON metadata endpoint.
-func (rt *Router) shardJSON(ctx context.Context, trace string, leg *obs.Span, m *member, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.node.Base+path, nil)
-	if err != nil {
-		return err
-	}
-	legHeaders(req, trace, leg)
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		rt.noteFailure(m, err.Error())
-		rt.stats.shardErrors.With(m.node.Name).Inc()
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		rt.stats.shardErrors.With(m.node.Name).Inc()
-		return errors.New("status " + resp.Status)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, rt.cfg.maxTileBytes())).Decode(v)
+// keyLess is the cluster's one key order — layer, then tx, then ty —
+// used wherever keys are listed or replayed deterministically.
+func keyLess(a, b storage.TileKey) bool {
+	if a.Layer != b.Layer {
+		return a.Layer < b.Layer
+	}
+	if a.TX != b.TX {
+		return a.TX < b.TX
+	}
+	return a.TY < b.TY
 }

@@ -7,12 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hdmaps/internal/core"
 	"hdmaps/internal/geo"
+	"hdmaps/internal/obs"
 	"hdmaps/internal/storage"
 )
 
@@ -69,8 +72,8 @@ func tileBytes(clock uint64, salt int) []byte {
 // markDown forces the failure detector's view without real probes.
 func markDown(rt *Router, name string) {
 	m := rt.members[name]
-	for i := 0; i < rt.cfg.failAfter(); i++ {
-		m.strike(rt.cfg.failAfter(), "test kill")
+	for i := 0; i < rt.cfg.FailAfter; i++ {
+		m.strike(rt.cfg.FailAfter, "test kill")
 	}
 }
 
@@ -557,5 +560,200 @@ func TestRouterMembershipChange(t *testing.T) {
 	}
 	if err := rt.AddNode(Node{Name: "Bad Name!", Base: "http://x"}); err == nil {
 		t.Fatal("invalid node name accepted")
+	}
+}
+
+// legCounter is a Config.Transport that counts shard requests by kind
+// ("GET tile", "PUT hint", "GET layers", "GET list") and remembers the
+// node each hint write went to.
+type legCounter struct {
+	mu        sync.Mutex
+	kinds     map[string]int
+	hintHosts []string
+}
+
+func (c *legCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	parts := strings.Split(strings.TrimPrefix(req.URL.Path, "/v1/"), "/")
+	kind := "tile"
+	switch {
+	case parts[0] == "layers":
+		kind = "layers"
+	case len(parts) == 2:
+		kind = "list"
+	case strings.HasPrefix(parts[1], hintLayerPrefix):
+		kind = "hint"
+		c.mu.Lock()
+		c.hintHosts = append(c.hintHosts, req.URL.Host)
+		c.mu.Unlock()
+	}
+	c.mu.Lock()
+	c.kinds[req.Method+" "+kind]++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// take waits until want legs in total were sent (a quorum read answers
+// before its last leg returns), then returns and resets the counts.
+func (c *legCounter) take(t *testing.T, want int) map[string]int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.mu.Lock()
+		n := 0
+		for _, v := range c.kinds {
+			n += v
+		}
+		if n >= want || time.Now().After(deadline) {
+			got := c.kinds
+			c.kinds = map[string]int{}
+			c.mu.Unlock()
+			return got
+		}
+		c.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRouterLegShape pins what each client operation costs on a 4-node
+// R=3 cluster: the shard requests it sends and the span names its legs
+// run under on a sampled trace.
+func TestRouterLegShape(t *testing.T) {
+	lc := &legCounter{kinds: map[string]int{}}
+	// A 1ns slow bar samples every trace.
+	tracer := obs.NewTracer(obs.TracerConfig{SlowThreshold: time.Nanosecond})
+	rt, _ := newTestCluster(t, 4, Config{Replicas: 3, Transport: lc, Tracer: tracer})
+	key := storage.TileKey{Layer: "base", TX: 3, TY: 5}
+	tile := fmt.Sprintf("/v1/tiles/%s/%d/%d", key.Layer, key.TX, key.TY)
+	data := tileBytes(1, 1)
+
+	cases := []struct {
+		name, method, path string
+		body               []byte
+		status             int
+		legs, spans        map[string]int
+	}{
+		{"put", http.MethodPut, tile, data, http.StatusNoContent,
+			map[string]int{"PUT tile": 3}, map[string]int{"shard.write": 3}},
+		{"get", http.MethodGet, tile, nil, http.StatusOK,
+			map[string]int{"GET tile": 3}, map[string]int{"shard.read": 3}},
+		{"layers", http.MethodGet, "/v1/layers", nil, http.StatusOK,
+			map[string]int{"GET layers": 4}, map[string]int{"shard.layers": 4}},
+		{"list", http.MethodGet, "/v1/tiles/base", nil, http.StatusOK,
+			map[string]int{"GET list": 4}, map[string]int{"shard.list": 4}},
+		// Clock probe on every owner, then the marker written to each.
+		{"delete", http.MethodDelete, tile, nil, http.StatusNoContent,
+			map[string]int{"GET tile": 3, "PUT tile": 3}, map[string]int{"shard.read": 3, "shard.write": 3}},
+	}
+	for _, tc := range cases {
+		trace := obs.NewTraceID()
+		w := do(t, rt, tc.method, tc.path, tc.body, map[string]string{obs.TraceHeader: trace})
+		if w.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, w.Code, tc.status, w.Body.String())
+		}
+		checkLegShape(t, tc.name, lc, tracer, trace, tc.legs, tc.spans)
+	}
+
+	// One owner down: two owner writes plus one hint write, parked on
+	// the fallback node under a hint-- layer.
+	owners := rt.ownersFor(key)
+	markDown(rt, owners[0].node.Name)
+	fb := rt.fallbackFor(key, owners)
+	if fb == nil {
+		t.Fatal("no fallback node")
+	}
+	trace := obs.NewTraceID()
+	if w := do(t, rt, http.MethodPut, tile, tileBytes(2, 1), map[string]string{obs.TraceHeader: trace}); w.Code != http.StatusNoContent {
+		t.Fatalf("put with owner down: %d %s", w.Code, w.Body.String())
+	}
+	checkLegShape(t, "put-owner-down", lc, tracer, trace,
+		map[string]int{"PUT tile": 2, "PUT hint": 1}, map[string]int{"shard.write": 2, "shard.hint": 1})
+	if want := strings.TrimPrefix(fb.node.Base, "http://"); len(lc.hintHosts) != 1 || lc.hintHosts[0] != want {
+		t.Fatalf("hint written to %v, want fallback %s", lc.hintHosts, want)
+	}
+}
+
+func checkLegShape(t *testing.T, name string, lc *legCounter, tracer *obs.Tracer, trace string, legs, spans map[string]int) {
+	t.Helper()
+	total := 0
+	for _, n := range legs {
+		total += n
+	}
+	if got := lc.take(t, total); !reflect.DeepEqual(got, legs) {
+		t.Errorf("%s: shard requests %v, want %v", name, got, legs)
+	}
+	snaps := tracer.TraceByID(trace)
+	if len(snaps) != 1 {
+		t.Fatalf("%s: %d sampled snapshots for trace, want 1", name, len(snaps))
+	}
+	got := map[string]int{}
+	for _, s := range snaps[0].Spans {
+		if s.SpanID != snaps[0].RootSpanID {
+			got[s.Name]++
+		}
+	}
+	if !reflect.DeepEqual(got, spans) {
+		t.Errorf("%s: leg spans %v, want %v", name, got, spans)
+	}
+}
+
+// TestConfigDefaults: a zero Config resolves to every default the
+// field docs state, explicit values are kept, and a negative sweep or
+// sample interval still disables its loop.
+func TestConfigDefaults(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	defer srv.Close()
+	nodes := []Node{{Name: "n1", Base: srv.URL}}
+	rt, err := NewRouter(Config{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	want := Config{
+		Nodes:          nodes,
+		Replicas:       3,
+		ShardTimeout:   5 * time.Second,
+		RetryAfter:     time.Second,
+		ProbeInterval:  250 * time.Millisecond,
+		ProbeTimeout:   time.Second,
+		FailAfter:      2,
+		MaxHints:       4096,
+		MaxRepairQueue: 256,
+		MaxTileBytes:   16 << 20,
+		SweepInterval:  30 * time.Second,
+		TombstoneTTL:   24 * time.Hour,
+		SampleInterval: 5 * time.Second,
+		SampleHistory:  360,
+		MaxFleetNodes:  16,
+	}
+	if !reflect.DeepEqual(rt.cfg, want) {
+		t.Fatalf("resolved defaults:\n got %+v\nwant %+v", rt.cfg, want)
+	}
+	if rt.hints.max != 4096 || cap(rt.repairCh) != 256 {
+		t.Fatalf("hint buffer %d, repair queue %d", rt.hints.max, cap(rt.repairCh))
+	}
+
+	explicit := Config{
+		Nodes: nodes, Replicas: 2, ShardTimeout: time.Millisecond, RetryAfter: 3 * time.Second,
+		ProbeInterval: time.Minute, ProbeTimeout: time.Hour, FailAfter: 7, MaxHints: 9,
+		MaxRepairQueue: 11, MaxTileBytes: 13, SweepInterval: 17 * time.Second, TombstoneTTL: time.Minute,
+		SampleInterval: 19 * time.Second, SampleHistory: 23, MaxFleetNodes: 29,
+	}
+	if got := explicit.withDefaults(); !reflect.DeepEqual(got, explicit) {
+		t.Fatalf("explicit values changed:\n got %+v\nwant %+v", got, explicit)
+	}
+
+	off, err := NewRouter(Config{Nodes: nodes, SweepInterval: -1, SampleInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.Start()
+	defer off.Close()
+	if off.cfg.SweepInterval >= 0 || off.cfg.SampleInterval >= 0 || off.sampler != nil {
+		t.Fatalf("negative intervals must stay disabled: sweep %v sample %v", off.cfg.SweepInterval, off.cfg.SampleInterval)
+	}
+	for _, o := range off.shippedObjectives() {
+		if o.Name == "slo.sweep.cadence" {
+			t.Fatal("disabled sweeping still ships the sweep-cadence objective")
+		}
 	}
 }

@@ -136,7 +136,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 func TestWriteJSONErrorSingleWriteHeader(t *testing.T) {
 	w := newCountingWriter()
-	writeJSONError(w, http.StatusBadRequest, "bad \x00 message \xff")
+	WriteJSONError(w, http.StatusBadRequest, "bad \x00 message \xff")
 	if len(w.statusCalls) != 1 || w.statusCalls[0] != http.StatusBadRequest {
 		t.Fatalf("WriteHeader calls = %v, want exactly [400]", w.statusCalls)
 	}
@@ -155,7 +155,7 @@ func TestWriteJSONErrorSingleWriteHeader(t *testing.T) {
 // single 500 JSON error — never a double WriteHeader.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	w := newCountingWriter()
-	writeJSON(w, func() {}) // funcs cannot marshal
+	WriteJSON(w, func() {}) // funcs cannot marshal
 	if len(w.statusCalls) != 1 || w.statusCalls[0] != http.StatusInternalServerError {
 		t.Fatalf("WriteHeader calls = %v, want exactly [500]", w.statusCalls)
 	}
@@ -169,7 +169,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 
 func TestWriteJSONSuccessSingleWriteHeader(t *testing.T) {
 	w := newCountingWriter()
-	writeJSON(w, []string{"base"})
+	WriteJSON(w, []string{"base"})
 	if len(w.statusCalls) != 1 || w.statusCalls[0] != http.StatusOK {
 		t.Fatalf("WriteHeader calls = %v, want exactly [200]", w.statusCalls)
 	}

@@ -148,26 +148,26 @@ func (s *TileServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case len(parts) == 2 && parts[0] == "v1" && parts[1] == "layers":
 		if r.Method != http.MethodGet {
-			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		s.handleLayers(w)
 	case len(parts) == 3 && parts[0] == "v1" && parts[1] == "tiles":
 		if r.Method != http.MethodGet {
-			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		s.handleList(w, parts[2])
 	case len(parts) == 3 && parts[0] == "v1" && parts[1] == "digest":
 		if r.Method != http.MethodGet {
-			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		s.handleDigest(w, r, parts[2])
 	case len(parts) == 5 && parts[0] == "v1" && parts[1] == "tiles":
-		key, err := parseKey(parts[2], parts[3], parts[4])
+		key, err := ParseTileKey(parts[2], parts[3], parts[4])
 		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, err.Error())
+			WriteJSONError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		switch r.Method {
@@ -178,14 +178,15 @@ func (s *TileServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case http.MethodDelete:
 			s.handleDelete(w, r, key)
 		default:
-			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 		}
 	default:
-		writeJSONError(w, http.StatusNotFound, "not found")
+		WriteJSONError(w, http.StatusNotFound, "not found")
 	}
 }
 
-func parseKey(layer, txs, tys string) (TileKey, error) {
+// ParseTileKey parses the {layer}/{tx}/{ty} segments of a /v1 tile path.
+func ParseTileKey(layer, txs, tys string) (TileKey, error) {
 	if layer == "" {
 		return TileKey{}, errors.New("empty layer")
 	}
@@ -205,13 +206,13 @@ func (s *TileServer) handleLayers(w http.ResponseWriter) {
 	layers, err := s.store.ListLayers()
 	s.mu.RUnlock()
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if layers == nil {
 		layers = []string{}
 	}
-	writeJSON(w, layers)
+	WriteJSON(w, layers)
 }
 
 func (s *TileServer) handleList(w http.ResponseWriter, layer string) {
@@ -219,7 +220,7 @@ func (s *TileServer) handleList(w http.ResponseWriter, layer string) {
 	keys, err := s.store.Keys(layer)
 	s.mu.RUnlock()
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	type entry struct {
@@ -230,7 +231,7 @@ func (s *TileServer) handleList(w http.ResponseWriter, layer string) {
 	for i, k := range keys {
 		out[i] = entry{TX: k.TX, TY: k.TY}
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (s *TileServer) handleGet(w http.ResponseWriter, key TileKey) {
@@ -252,11 +253,11 @@ func (s *TileServer) handleGet(w http.ResponseWriter, key TileKey) {
 			_, _ = w.Write(tr.data)
 			return
 		}
-		writeJSONError(w, http.StatusNotFound, "tile not found")
+		WriteJSONError(w, http.StatusNotFound, "tile not found")
 		return
 	}
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if !haveSum {
@@ -276,11 +277,11 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if int64(len(data)) > limit {
-		writeJSONError(w, http.StatusRequestEntityTooLarge, "tile too large")
+		WriteJSONError(w, http.StatusRequestEntityTooLarge, "tile too large")
 		return
 	}
 	// A checksum mismatch means the payload was damaged in transit — the
@@ -288,14 +289,14 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	// the failure retryable for well-behaved clients.
 	if want := r.Header.Get(ChecksumHeader); want != "" && want != Checksum(data) {
 		w.Header().Set(TransientHeader, "checksum-mismatch")
-		writeJSONError(w, http.StatusBadRequest,
+		WriteJSONError(w, http.StatusBadRequest,
 			fmt.Sprintf("checksum mismatch: got %s want %s", Checksum(data), want))
 		return
 	}
 	if strings.HasPrefix(key.Layer, TombLayerPrefix) {
 		// Shadow layers change only through tombstone writes on the live
 		// key; a direct write could desynchronise marker and state.
-		writeJSONError(w, http.StatusUnprocessableEntity, "reserved layer")
+		WriteJSONError(w, http.StatusUnprocessableEntity, "reserved layer")
 		return
 	}
 	if strings.HasPrefix(key.Layer, HintLayerPrefix) {
@@ -305,7 +306,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	if IsTombstone(data) {
 		ts, err := DecodeTombstone(data)
 		if err != nil {
-			writeJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tombstone: %v", err))
+			WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tombstone: %v", err))
 			return
 		}
 		s.putTombstone(w, r, key, ts, data)
@@ -314,12 +315,12 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	// Tiles must decode as maps: the server refuses corrupt uploads so a
 	// bad producer cannot poison consumers.
 	if _, err := DecodeBinary(data); err != nil {
-		writeJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
+		WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
 		return
 	}
 	clock, err := PeekClock(data)
 	if err != nil {
-		writeJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
+		WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
 		return
 	}
 	s.mu.Lock()
@@ -333,7 +334,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 		// tombstone is a replay of something the delete already erased.
 		s.mu.Unlock()
 		w.Header().Set(StateHeader, cur.String())
-		writeJSONError(w, http.StatusConflict, "write superseded by tombstone")
+		WriteJSONError(w, http.StatusConflict, "write superseded by tombstone")
 		return
 	}
 	err = s.store.Put(key, data)
@@ -347,7 +348,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	}
 	s.mu.Unlock()
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -360,7 +361,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 func (s *TileServer) putHintCopy(w http.ResponseWriter, key TileKey, data []byte) {
 	if _, terr := DecodeTombstone(data); terr != nil {
 		if _, err := DecodeBinary(data); err != nil {
-			writeJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid hint payload: %v", err))
+			WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid hint payload: %v", err))
 			return
 		}
 	}
@@ -371,7 +372,7 @@ func (s *TileServer) putHintCopy(w http.ResponseWriter, key TileKey, data []byte
 	}
 	s.mu.Unlock()
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -382,7 +383,7 @@ func (s *TileServer) putHintCopy(w http.ResponseWriter, key TileKey, data []byte
 // removed, atomically with the Expect precondition under s.mu.
 func (s *TileServer) putTombstone(w http.ResponseWriter, r *http.Request, key TileKey, ts Tombstone, data []byte) {
 	if ts.Key() != key {
-		writeJSONError(w, http.StatusUnprocessableEntity,
+		WriteJSONError(w, http.StatusUnprocessableEntity,
 			fmt.Sprintf("tombstone key %v does not match %v", ts.Key(), key))
 		return
 	}
@@ -404,7 +405,7 @@ func (s *TileServer) putTombstone(w http.ResponseWriter, r *http.Request, key Ti
 		// superseded" — distinct from a precondition mismatch.
 		s.mu.Unlock()
 		w.Header().Set(StateHeader, cur.String())
-		writeJSONError(w, http.StatusConflict, "tombstone superseded by newer tile")
+		WriteJSONError(w, http.StatusConflict, "tombstone superseded by newer tile")
 		return
 	}
 	err := s.store.Put(TileKey{Layer: tombLayer(key.Layer), TX: key.TX, TY: key.TY}, data)
@@ -418,7 +419,7 @@ func (s *TileServer) putTombstone(w http.ResponseWriter, r *http.Request, key Ti
 	}
 	s.mu.Unlock()
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -449,7 +450,7 @@ func (s *TileServer) handleDelete(w http.ResponseWriter, r *http.Request, key Ti
 	}
 	s.mu.Unlock()
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -492,29 +493,29 @@ func (s *TileServer) checkExpectLocked(w http.ResponseWriter, r *http.Request, c
 	}
 	want, err := ParseReplicaState(v)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return false
 	}
 	match := want.Tomb == cur.Tomb && want.Found == cur.Found && want.Clock == cur.Clock &&
 		(!want.Found || want.Sum == cur.Sum)
 	if !match {
 		w.Header().Set(StateHeader, cur.String())
-		writeJSONError(w, http.StatusPreconditionFailed, "state is "+cur.String()+", expected "+want.String())
+		WriteJSONError(w, http.StatusPreconditionFailed, "state is "+cur.String()+", expected "+want.String())
 		return false
 	}
 	return true
 }
 
-// writeJSON sends a JSON body with a ChecksumHeader so clients can
+// WriteJSON sends a JSON body with a ChecksumHeader so clients can
 // detect in-transit damage to metadata (a corrupted tile list is as
 // dangerous as a corrupted tile). The body is marshalled *before* any
 // header or status reaches the wire: an encode failure must be free to
 // switch to a 500 error response, which is impossible once WriteHeader
 // has fired.
-func writeJSON(w http.ResponseWriter, v interface{}) {
+func WriteJSON(w http.ResponseWriter, v interface{}) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	data = append(data, '\n')
@@ -524,7 +525,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	_, _ = w.Write(data)
 }
 
-// writeJSONError sends {"error": msg} with the given status so clients
+// WriteJSONError sends {"error": msg} with the given status so clients
 // can distinguish structured failures from tile payloads. The body is
 // encoded before the status is written; if the message itself cannot
 // be marshalled (it never should — but an error path must not have
@@ -533,7 +534,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 // The trace ID already stamped on the response header is repeated in
 // the body, so a client that dropped the headers still has the join
 // key for a support report.
-func writeJSONError(w http.ResponseWriter, status int, msg string) {
+func WriteJSONError(w http.ResponseWriter, status int, msg string) {
 	body := map[string]string{"error": msg}
 	if trace := w.Header().Get(obs.TraceHeader); trace != "" {
 		body["trace_id"] = trace

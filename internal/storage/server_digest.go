@@ -17,34 +17,34 @@ import (
 // the live layer's digest, and handoff copies are transit, not state.
 func (s *TileServer) handleDigest(w http.ResponseWriter, r *http.Request, layer string) {
 	if layer == "" || IsInternalLayer(layer) {
-		writeJSONError(w, http.StatusBadRequest, "bad digest layer")
+		WriteJSONError(w, http.StatusBadRequest, "bad digest layer")
 		return
 	}
 	q := r.URL.Query()
 	if q.Get("tombs") != "" {
-		writeJSON(w, s.TombstoneList(layer))
+		WriteJSON(w, s.TombstoneList(layer))
 		return
 	}
 	if bs := q.Get("bucket"); bs != "" {
 		b, err := strconv.Atoi(bs)
 		if err != nil || b < 0 || b >= DigestBuckets {
-			writeJSONError(w, http.StatusBadRequest, "bad bucket")
+			WriteJSONError(w, http.StatusBadRequest, "bad bucket")
 			return
 		}
 		entries, derr := s.DigestEntries(layer, b)
 		if derr != nil {
-			writeJSONError(w, http.StatusInternalServerError, derr.Error())
+			WriteJSONError(w, http.StatusInternalServerError, derr.Error())
 			return
 		}
-		writeJSON(w, entries)
+		WriteJSON(w, entries)
 		return
 	}
 	d, err := s.LayerDigest(layer)
 	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, d)
+	WriteJSON(w, d)
 }
 
 // LayerDigest summarises one layer's live tiles and tombstones into the

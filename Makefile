@@ -1,8 +1,8 @@
 # Verification pipeline for the HD-map ecosystem repo.
 #
 #   make verify   — everything CI runs: vet, build, race-enabled tests,
-#                   the maintenance chaos soak, the overload soak, and
-#                   short fuzz smokes.
+#                   the maintenance chaos soak, the overload soak, short
+#                   fuzz smokes, and the benchmark module's vet and tests.
 #   make test     — fast tier-1 check (what the roadmap calls "tier-1").
 #   make soak     — the ingestion chaos soak at CI volume.
 #   make soak-overload — stampede the resilient tile server at CI volume.
@@ -16,6 +16,7 @@
 #   make bench-gate — run the perf probe suite and gate it against the
 #                   committed BENCH_baseline.json.
 #   make fuzz     — longer decode fuzzing for local hunting.
+#   make perfbench-check — vet and test the perfbench/ benchmark module.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -25,9 +26,9 @@ SOAK_CLUSTER_GETS ?= 3000
 SOAK_AE_DELETES ?= 8
 SOAK_ALERT_ARCS ?= 2
 
-.PHONY: verify vet vet-obs build test race soak soak-overload soak-cluster soak-antientropy soak-alerting loadtest fuzz-smoke fuzz bench bench-gate bench-baseline
+.PHONY: verify vet vet-obs build test race soak soak-overload soak-cluster soak-antientropy soak-alerting loadtest fuzz-smoke fuzz bench bench-gate bench-baseline perfbench-check
 
-verify: vet vet-obs build race soak soak-overload soak-cluster soak-antientropy soak-alerting fuzz-smoke
+verify: vet vet-obs build race soak soak-overload soak-cluster soak-antientropy soak-alerting fuzz-smoke perfbench-check
 	@echo "verify: all green"
 
 vet:
@@ -98,6 +99,12 @@ soak-alerting:
 # overload pipeline, stampedes it, and prints outcomes plus /statz.
 loadtest:
 	$(GO) run ./cmd/hdmapctl loadtest -clients 40 -requests 100 -rate 50
+
+# perfbench/ is its own Go module (it requires this one through a
+# replace), so ./... here never compiles it; an API break would
+# otherwise surface only when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME) ./internal/storage

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"time"
 
+	"hdmaps/internal/obs"
 	"hdmaps/internal/obs/eventlog"
 	"hdmaps/internal/obs/incident"
 	"hdmaps/internal/obs/notify"
@@ -213,14 +214,14 @@ const maxFleetPoints = 1 << 20
 // coerced.
 func (rt *Router) handleFleetz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		storage.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+		obs.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	points := 30
 	if v := r.URL.Query().Get("points"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 || n > maxFleetPoints {
-			storage.WriteJSONError(w, http.StatusBadRequest,
+			obs.WriteJSONError(w, http.StatusBadRequest,
 				"bad points: want an integer in [0, 2^20], got "+strconv.Quote(v))
 			return
 		}

@@ -62,7 +62,7 @@ func (rt *Router) handleTileGet(w http.ResponseWriter, r *http.Request, span *ob
 		} else {
 			// Absent and tombstoned both read as 404 to clients; the
 			// marker is cluster machinery, not payload.
-			storage.WriteJSONError(w, http.StatusNotFound, "tile not found")
+			obs.WriteJSONError(w, http.StatusNotFound, "tile not found")
 		}
 		rt.stats.served.Inc()
 		// Remaining legs finish in the background purely to feed

@@ -361,7 +361,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// One plane switch: buildObservability builds every piece these
 		// endpoints serve, or none of them.
 		if rt.sampler == nil {
-			storage.WriteJSONError(w, http.StatusNotFound, "observability plane disabled")
+			obs.WriteJSONError(w, http.StatusNotFound, "observability plane disabled")
 			return
 		}
 		switch r.URL.Path {
@@ -464,21 +464,21 @@ func (rt *Router) shed(w http.ResponseWriter, span *obs.Span, msg string) {
 	span.ForceSample()
 	rt.stats.shed.Inc()
 	w.Header().Set("Retry-After", rt.retryAfterValue())
-	storage.WriteJSONError(w, http.StatusServiceUnavailable, msg)
+	obs.WriteJSONError(w, http.StatusServiceUnavailable, msg)
 }
 
 // clientError answers a malformed or unroutable request definitively
 // (4xx), counted in Served — the router did its job.
 func (rt *Router) clientError(w http.ResponseWriter, status int, msg string) {
 	rt.stats.served.Inc()
-	storage.WriteJSONError(w, status, msg)
+	obs.WriteJSONError(w, status, msg)
 }
 
 // internalError counts a router-side failure.
 func (rt *Router) internalError(w http.ResponseWriter, span *obs.Span, msg string) {
 	span.Fail(msg)
 	rt.stats.errored.Inc()
-	storage.WriteJSONError(w, http.StatusInternalServerError, msg)
+	obs.WriteJSONError(w, http.StatusInternalServerError, msg)
 }
 
 // ClusterStatus is the /clusterz document: membership health, ring

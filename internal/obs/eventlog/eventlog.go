@@ -120,18 +120,19 @@ type Config struct {
 	Now func() time.Time
 }
 
-func (c *Config) capacity() int {
-	if c.Capacity > 0 {
-		return c.Capacity
+// withDefaults resolves every zero knob to its documented default,
+// once, at construction.
+func (c Config) withDefaults() Config {
+	if c.Capacity <= 0 {
+		c.Capacity = 1024
 	}
-	return 1024
-}
-
-func (c *Config) registry() *obs.Registry {
-	if c.Registry != nil {
-		return c.Registry
+	if c.Registry == nil {
+		c.Registry = obs.Default()
 	}
-	return obs.Default()
+	if c.Now == nil {
+		c.Now = time.Now
+	}
+	return c
 }
 
 // Log is the journal. All methods are safe for concurrent use.
@@ -156,10 +157,11 @@ func New(cfg Config) (*Log, error) {
 	if len(cfg.Types) == 0 {
 		return nil, fmt.Errorf("eventlog: config needs a non-empty Types domain")
 	}
+	cfg = cfg.withDefaults()
 	l := &Log{
 		cfg:   cfg,
 		types: make(map[string]bool, len(cfg.Types)),
-		ring:  make([]Event, cfg.capacity()),
+		ring:  make([]Event, cfg.Capacity),
 	}
 	for _, t := range cfg.Types {
 		if t == TypeOther {
@@ -173,9 +175,8 @@ func New(cfg Config) (*Log, error) {
 		}
 		l.types[t] = true
 	}
-	reg := cfg.registry()
-	l.appended = reg.CounterVec("eventlog.events.appended", cfg.Types)
-	l.fileErrors = reg.Counter("eventlog.file.errors")
+	l.appended = cfg.Registry.CounterVec("eventlog.events.appended", cfg.Types)
+	l.fileErrors = cfg.Registry.Counter("eventlog.file.errors")
 	if cfg.Path != "" {
 		if err := l.replay(cfg.Path); err != nil {
 			return nil, err
@@ -239,13 +240,6 @@ func (l *Log) push(e Event) {
 	}
 }
 
-func (l *Log) now() time.Time {
-	if l.cfg.Now != nil {
-		return l.cfg.Now()
-	}
-	return time.Now()
-}
-
 // Append records one event, collapsing undeclared types to the
 // reserved "other", and returns the stored entry (with sequence number
 // and timestamp stamped). File-write failures are counted, never
@@ -257,7 +251,7 @@ func (l *Log) Append(typ, node, detail, traceID string) Event {
 		typ = TypeOther
 	}
 	l.seq++
-	e := Event{Seq: l.seq, At: l.now(), Type: typ, Node: node, Detail: detail, TraceID: traceID}
+	e := Event{Seq: l.seq, At: l.cfg.Now(), Type: typ, Node: node, Detail: detail, TraceID: traceID}
 	l.push(e)
 	var line []byte
 	if l.file != nil {
@@ -370,14 +364,6 @@ type Status struct {
 // a position.
 const maxSince = 1 << 53
 
-// jsonError writes a 400-family JSON error body — the hardened query
-// surface never answers plain text.
-func jsonError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write([]byte(`{"error":` + strconv.Quote(msg) + `}` + "\n"))
-}
-
 // Handler serves the journal as /eventz?since=&type=&max=. Bad query
 // parameters — non-numeric, negative, or absurd since/max, or a type
 // outside the declared domain — are 400 JSON errors, never silently
@@ -385,7 +371,7 @@ func jsonError(w http.ResponseWriter, code int, msg string) {
 func Handler(l *Log) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			jsonError(w, http.StatusMethodNotAllowed, "method not allowed")
+			obs.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		q := r.URL.Query()
@@ -393,37 +379,31 @@ func Handler(l *Log) http.Handler {
 		if v := q.Get("since"); v != "" {
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil || n > maxSince {
-				jsonError(w, http.StatusBadRequest, "bad since: want a cursor in [0, 2^53], got "+strconv.Quote(v))
+				obs.WriteJSONError(w, http.StatusBadRequest, "bad since: want a cursor in [0, 2^53], got "+strconv.Quote(v))
 				return
 			}
 			since = n
 		}
 		typ := q.Get("type")
 		if typ != "" && !l.HasType(typ) {
-			jsonError(w, http.StatusBadRequest, "unknown event type "+strconv.Quote(typ))
+			obs.WriteJSONError(w, http.StatusBadRequest, "unknown event type "+strconv.Quote(typ))
 			return
 		}
 		max := 0
 		if v := q.Get("max"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 || n > 1<<20 {
-				jsonError(w, http.StatusBadRequest, "bad max: want an integer in [0, 2^20], got "+strconv.Quote(v))
+				obs.WriteJSONError(w, http.StatusBadRequest, "bad max: want an integer in [0, 2^20], got "+strconv.Quote(v))
 				return
 			}
 			max = n
 		}
 		doc := Status{
-			GeneratedAt: l.now(),
+			GeneratedAt: l.cfg.Now(),
 			Seq:         l.Seq(),
 			Types:       l.Types(),
 			Events:      l.Since(since, typ, max),
 		}
-		data, err := json.Marshal(doc)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(data, '\n'))
+		obs.WriteJSON(w, doc, nil)
 	})
 }

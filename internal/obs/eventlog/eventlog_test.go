@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 
 	"testing"
 	"time"
@@ -228,5 +229,34 @@ func TestHandlerQueryHardening(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/eventz", nil))
 	if rec.Code != 405 {
 		t.Fatalf("POST code = %d, want 405", rec.Code)
+	}
+}
+
+// TestConfigDefaults: zero and negative knobs resolve to the documented
+// defaults, explicit values survive.
+func TestConfigDefaults(t *testing.T) {
+	epoch := time.Unix(42, 0)
+	reg := obs.NewRegistry()
+	explicit := Config{Types: []string{"a"}, Capacity: 9, Path: "j.jsonl", Registry: reg,
+		Now: func() time.Time { return epoch }}
+	cases := []struct {
+		name     string
+		in, want Config
+	}{
+		{"zero", Config{}, Config{Capacity: 1024, Registry: obs.Default()}},
+		{"negative", Config{Capacity: -1}, Config{Capacity: 1024, Registry: obs.Default()}},
+		{"explicit", explicit, explicit},
+	}
+	for _, tc := range cases {
+		got := tc.in.withDefaults()
+		if got.Now == nil || (tc.in.Now != nil && !got.Now().Equal(epoch)) {
+			t.Fatalf("%s: clock not resolved", tc.name)
+		}
+		got.Now, tc.want.Now = nil, nil
+		// DeepEqual looks through pointers; the registry must be the
+		// very instance, not an equal-looking fresh one.
+		if !reflect.DeepEqual(got, tc.want) || got.Registry != tc.want.Registry {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
 	}
 }

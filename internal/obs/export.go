@@ -96,16 +96,10 @@ func marshalSorted[V any](b *bytes.Buffer, m map[string]V) error {
 func MetricsHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
-		data, err := json.Marshal(r.Snapshot())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(data, '\n'))
+		WriteJSON(w, r.Snapshot(), nil)
 	})
 }
 

@@ -239,28 +239,11 @@ func (h *Histogram) ReadCells(scratch []uint64) (count uint64, max float64) {
 }
 
 // CellQuantile estimates the q-quantile from a ReadCells scratch read,
-// without allocating. Semantics match HistogramSnapshot.Quantile:
-// linear interpolation within the owning bucket, overflow returns max.
+// without allocating. It is HistogramSnapshot.Quantile over the cells.
 func (h *Histogram) CellQuantile(scratch []uint64, count uint64, max float64, q float64) float64 {
-	if count == 0 {
-		return 0
-	}
-	rank := q * float64(count)
-	cum := uint64(0)
-	lower := 0.0
-	for i, b := range h.bounds {
-		c := scratch[i]
-		if c > 0 && float64(cum+c) >= rank {
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + frac*(b-lower)
-		}
-		cum += c
-		lower = b
-	}
-	return max
+	return quantile(q, count, max, len(h.bounds), func(i int) (float64, uint64) {
+		return h.bounds[i], scratch[i]
+	})
 }
 
 // BucketTotal sums the per-bucket counts (including overflow). Equal
@@ -275,28 +258,41 @@ func (s HistogramSnapshot) BucketTotal() uint64 {
 }
 
 // Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the owning bucket, Prometheus-style. Zero observations yield
-// 0; quantiles landing in the overflow bucket return the observed Max.
+// within the owning bucket, Prometheus-style, never above the observed
+// Max. Zero observations yield 0; quantiles landing in the overflow
+// bucket return Max.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
-	total := s.BucketTotal()
+	return quantile(q, s.BucketTotal(), s.Max, len(s.Buckets), func(i int) (float64, uint64) {
+		return s.Buckets[i].UpperBound, s.Buckets[i].Count
+	})
+}
+
+// quantile is the one estimator behind Quantile and CellQuantile.
+// bucket(i) yields the upper bound and count of finite bucket i of n;
+// total includes the overflow bucket. Interpolation assumes values
+// spread evenly across a bucket, so on its own it can report more
+// than was ever observed (one 0.3 s observation in (0.25, 0.5] would
+// give p99 = 0.4975); the result is therefore clamped to max.
+func quantile(q float64, total uint64, max float64, n int, bucket func(i int) (upper float64, count uint64)) float64 {
 	if total == 0 {
 		return 0
 	}
 	rank := q * float64(total)
 	cum := uint64(0)
 	lower := 0.0
-	for _, b := range s.Buckets {
-		if b.Count > 0 && float64(cum+b.Count) >= rank {
-			frac := (rank - float64(cum)) / float64(b.Count)
+	for i := 0; i < n; i++ {
+		upper, c := bucket(i)
+		if c > 0 && float64(cum+c) >= rank {
+			frac := (rank - float64(cum)) / float64(c)
 			if frac < 0 {
 				frac = 0
 			}
-			return lower + frac*(b.UpperBound-lower)
+			return math.Min(lower+frac*(upper-lower), max)
 		}
-		cum += b.Count
-		lower = b.UpperBound
+		cum += c
+		lower = upper
 	}
-	return s.Max
+	return max
 }
 
 // Summary renders the snapshot as one line of operator-facing latency

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -291,8 +292,8 @@ func TestHistogramBucketBoundaryClamping(t *testing.T) {
 // interpolated p50/p95/p99 at distribution extremes: everything in one
 // bucket, everything on one boundary, everything in overflow, and a
 // two-point bimodal split. Expected values follow the published rule —
-// linear interpolation from the bucket's lower bound, overflow returns
-// Max.
+// linear interpolation from the bucket's lower bound, clamped to the
+// observed Max; overflow returns Max.
 func TestHistogramQuantileExtremes(t *testing.T) {
 	bounds := []float64{0.1, 1, 10}
 	interp := func(lower, upper, rank, cumBefore, inBucket float64) float64 {
@@ -330,21 +331,22 @@ func TestHistogramQuantileExtremes(t *testing.T) {
 		},
 		{
 			// Single observation: every quantile interpolates within its
-			// owning bucket (rank q*1 in a 1-count bucket).
+			// owning bucket (rank q*1 in a 1-count bucket); p95 and p99
+			// would pass the observed 0.05, so they clamp to it.
 			name:   "single observation",
 			values: []float64{0.05},
 			p50:    interp(0, 0.1, 0.5, 0, 1),
-			p95:    interp(0, 0.1, 0.95, 0, 1),
-			p99:    interp(0, 0.1, 0.99, 0, 1),
+			p95:    math.Min(interp(0, 0.1, 0.95, 0, 1), 0.05),
+			p99:    math.Min(interp(0, 0.1, 0.99, 0, 1), 0.05),
 		},
 		{
 			// Bimodal 90/10 split: p50 stays in the fast bucket, p95 and
-			// p99 interpolate inside the slow one.
+			// p99 interpolate inside the slow one, clamped to the max 5.
 			name:   "bimodal",
 			values: append(repeat(0.05, 90), repeat(5, 10)...),
 			p50:    interp(0, 0.1, 50, 0, 90),
-			p95:    interp(1, 10, 95, 90, 10),
-			p99:    interp(1, 10, 99, 90, 10),
+			p95:    math.Min(interp(1, 10, 95, 90, 10), 5),
+			p99:    math.Min(interp(1, 10, 99, 90, 10), 5),
 		},
 	}
 	for _, tc := range cases {
@@ -364,6 +366,42 @@ func TestHistogramQuantileExtremes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHistogramQuantileBounded: on any data, every quantile from both
+// Snapshot.Quantile and CellQuantile is at most the observed Max and
+// never decreases as q grows.
+func TestHistogramQuantileBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	datasets := [][]float64{{0.3}, {0.05}, append(repeat(0.05, 90), repeat(5, 10)...)}
+	for i := 0; i < 200; i++ {
+		vals := make([]float64, 1+rng.Intn(50))
+		for j := range vals {
+			vals[j] = math.Exp(rng.NormFloat64()*3 - 4) // log-normal around 18 ms: µs to minutes
+		}
+		datasets = append(datasets, vals)
+	}
+	for _, vals := range datasets {
+		h := NewHistogram(nil)
+		for _, v := range vals {
+			h.Observe(v)
+		}
+		s := h.Snapshot()
+		scratch := make([]uint64, h.NumCells())
+		count, max := h.ReadCells(scratch)
+		prevSnap, prevCell := 0.0, 0.0
+		for q := 0.0; q <= 1; q += 0.01 {
+			snap, cell := s.Quantile(q), h.CellQuantile(scratch, count, max, q)
+			if snap > s.Max || cell > max {
+				t.Fatalf("%d values, max %v: q=%.2f gives snapshot %v, cells %v", len(vals), s.Max, q, snap, cell)
+			}
+			if snap < prevSnap || cell < prevCell {
+				t.Fatalf("%d values: quantile fell at q=%.2f: snapshot %v->%v, cells %v->%v",
+					len(vals), q, prevSnap, snap, prevCell, cell)
+			}
+			prevSnap, prevCell = snap, cell
+		}
 	}
 }
 

@@ -11,7 +11,6 @@
 package incident
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -84,46 +83,28 @@ type Config struct {
 	Now func() time.Time
 }
 
-func (c *Config) window() time.Duration {
-	if c.Window > 0 {
-		return c.Window
+// withDefaults resolves every zero knob to its documented default,
+// once, at construction.
+func (c Config) withDefaults() Config {
+	if c.Window <= 0 {
+		c.Window = 2 * time.Minute
 	}
-	return 2 * time.Minute
-}
-
-func (c *Config) maxResolved() int {
-	if c.MaxResolved > 0 {
-		return c.MaxResolved
+	if c.MaxResolved <= 0 {
+		c.MaxResolved = 64
 	}
-	return 64
-}
-
-func (c *Config) maxArc() int {
-	if c.MaxArc > 0 {
-		return c.MaxArc
+	if c.MaxArc <= 0 {
+		c.MaxArc = 64
 	}
-	return 64
-}
-
-func (c *Config) maxEvents() int {
-	if c.MaxEvents > 0 {
-		return c.MaxEvents
+	if c.MaxEvents <= 0 {
+		c.MaxEvents = 256
 	}
-	return 256
-}
-
-func (c *Config) registry() *obs.Registry {
-	if c.Registry != nil {
-		return c.Registry
+	if c.Registry == nil {
+		c.Registry = obs.Default()
 	}
-	return obs.Default()
-}
-
-func (c *Config) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
+	if c.Now == nil {
+		c.Now = time.Now
 	}
-	return time.Now()
+	return c
 }
 
 // Manager holds the open-incident table and the resolved ring. Safe
@@ -143,7 +124,8 @@ type Manager struct {
 
 // New builds a manager.
 func New(cfg Config) *Manager {
-	reg := cfg.registry()
+	cfg = cfg.withDefaults()
+	reg := cfg.Registry
 	return &Manager{
 		cfg:       cfg,
 		open:      make(map[string]*Incident),
@@ -196,7 +178,7 @@ func (m *Manager) OnTransition(tr slo.Transition) {
 		m.openGauge.Set(int64(len(m.open)))
 	case isOpen:
 		inc.Arc = append(inc.Arc, step)
-		if max := m.cfg.maxArc(); len(inc.Arc) > max {
+		if max := m.cfg.MaxArc; len(inc.Arc) > max {
 			inc.Arc = inc.Arc[len(inc.Arc)-max:]
 		}
 		if severityRank(tr.To.String()) > severityRank(inc.Severity) {
@@ -211,7 +193,7 @@ func (m *Manager) OnTransition(tr slo.Transition) {
 			m.finalize(inc)
 			delete(m.open, tr.Objective)
 			m.resolved = append(m.resolved, *inc)
-			if max := m.cfg.maxResolved(); len(m.resolved) > max {
+			if max := m.cfg.MaxResolved; len(m.resolved) > max {
 				m.resolved = m.resolved[len(m.resolved)-max:]
 			}
 			m.resolvedC.Inc()
@@ -239,14 +221,14 @@ func (m *Manager) finalize(inc *Incident) {
 	if m.cfg.Journal == nil {
 		return
 	}
-	inc.Events = m.cfg.Journal.Between(inc.OpenedAt.Add(-m.cfg.window()), inc.ResolvedAt, m.cfg.maxEvents())
+	inc.Events = m.cfg.Journal.Between(inc.OpenedAt.Add(-m.cfg.Window), inc.ResolvedAt, m.cfg.MaxEvents)
 }
 
 // Incidents returns open incidents (newest first) followed by resolved
 // ones (newest first). Open incidents carry a live event timeline up
 // to now.
 func (m *Manager) Incidents() []Incident {
-	now := m.cfg.now()
+	now := m.cfg.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]Incident, 0, len(m.open)+len(m.resolved))
@@ -254,7 +236,7 @@ func (m *Manager) Incidents() []Incident {
 		c := *inc
 		c.Arc = append([]ArcStep(nil), inc.Arc...)
 		if m.cfg.Journal != nil {
-			c.Events = m.cfg.Journal.Between(c.OpenedAt.Add(-m.cfg.window()), now, m.cfg.maxEvents())
+			c.Events = m.cfg.Journal.Between(c.OpenedAt.Add(-m.cfg.Window), now, m.cfg.MaxEvents)
 		}
 		out = append(out, c)
 	}
@@ -292,24 +274,17 @@ type Status struct {
 	Incidents   []Incident `json:"incidents"`
 }
 
-// jsonError mirrors the hardened /eventz error shape.
-func jsonError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write([]byte(`{"error":` + strconv.Quote(msg) + `}` + "\n"))
-}
-
 // Handler serves the incident table as /incidentz?state=. An unknown
 // state filter is a 400 JSON error, not an empty result.
 func Handler(m *Manager) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			jsonError(w, http.StatusMethodNotAllowed, "method not allowed")
+			obs.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		state := r.URL.Query().Get("state")
 		if state != "" && state != StateOpen && state != StateResolved {
-			jsonError(w, http.StatusBadRequest, "bad state: want open or resolved, got "+strconv.Quote(state))
+			obs.WriteJSONError(w, http.StatusBadRequest, "bad state: want open or resolved, got "+strconv.Quote(state))
 			return
 		}
 		all := m.Incidents()
@@ -323,13 +298,7 @@ func Handler(m *Manager) http.Handler {
 			}
 		}
 		nOpen, nResolved := m.Counts()
-		doc := Status{GeneratedAt: m.cfg.now(), Open: nOpen, Resolved: nResolved, Incidents: list}
-		data, err := json.Marshal(doc)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(data, '\n'))
+		doc := Status{GeneratedAt: m.cfg.Now(), Open: nOpen, Resolved: nResolved, Incidents: list}
+		obs.WriteJSON(w, doc, nil)
 	})
 }

@@ -3,6 +3,7 @@ package incident
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -222,5 +223,35 @@ func TestHandlerAndStateFilter(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/incidentz", nil))
 	if rec.Code != 405 {
 		t.Fatalf("POST code = %d", rec.Code)
+	}
+}
+
+// TestConfigDefaults: zero and negative knobs resolve to the documented
+// defaults, explicit values survive.
+func TestConfigDefaults(t *testing.T) {
+	epoch := time.Unix(42, 0)
+	reg := obs.NewRegistry()
+	explicit := Config{Window: time.Second, MaxResolved: 3, MaxArc: 5, MaxEvents: 7, Registry: reg,
+		Now: func() time.Time { return epoch }}
+	defaults := Config{Window: 2 * time.Minute, MaxResolved: 64, MaxArc: 64, MaxEvents: 256, Registry: obs.Default()}
+	cases := []struct {
+		name     string
+		in, want Config
+	}{
+		{"zero", Config{}, defaults},
+		{"negative", Config{Window: -1, MaxResolved: -1, MaxArc: -1, MaxEvents: -1}, defaults},
+		{"explicit", explicit, explicit},
+	}
+	for _, tc := range cases {
+		got := tc.in.withDefaults()
+		if got.Now == nil || (tc.in.Now != nil && !got.Now().Equal(epoch)) {
+			t.Fatalf("%s: clock not resolved", tc.name)
+		}
+		got.Now, tc.want.Now = nil, nil
+		// DeepEqual looks through pointers; the registry must be the
+		// very instance, not an equal-looking fresh one.
+		if !reflect.DeepEqual(got, tc.want) || got.Registry != tc.want.Registry {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -73,60 +73,38 @@ type Config struct {
 	Sleep func(ctx context.Context, d time.Duration)
 }
 
-func (c *Config) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
+// withDefaults resolves every zero knob to its documented default,
+// once, at construction.
+func (c Config) withDefaults() Config {
+	if c.MaxAttempts <= 0 {
+		c.MaxAttempts = 3
 	}
-	return 3
+	if c.Backoff <= 0 {
+		c.Backoff = 50 * time.Millisecond
+	}
+	if c.Timeout <= 0 {
+		c.Timeout = 2 * time.Second
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 64
+	}
+	if c.MinHold <= 0 {
+		c.MinHold = time.Minute
+	}
+	if c.Registry == nil {
+		c.Registry = obs.Default()
+	}
+	if c.Now == nil {
+		c.Now = time.Now
+	}
+	if c.Sleep == nil {
+		c.Sleep = sleep
+	}
+	return c
 }
 
-func (c *Config) backoff() time.Duration {
-	if c.Backoff > 0 {
-		return c.Backoff
-	}
-	return 50 * time.Millisecond
-}
-
-func (c *Config) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 2 * time.Second
-}
-
-func (c *Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 64
-}
-
-func (c *Config) minHold() time.Duration {
-	if c.MinHold > 0 {
-		return c.MinHold
-	}
-	return time.Minute
-}
-
-func (c *Config) registry() *obs.Registry {
-	if c.Registry != nil {
-		return c.Registry
-	}
-	return obs.Default()
-}
-
-func (c *Config) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
-	}
-	return time.Now()
-}
-
-func (c *Config) sleep(ctx context.Context, d time.Duration) {
-	if c.Sleep != nil {
-		c.Sleep(ctx, d)
-		return
-	}
+// sleep waits d or until ctx is done — the default backoff sleep.
+func sleep(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -194,7 +172,8 @@ func New(cfg Config) (*Notifier, error) {
 		seen[name] = true
 		names = append(names, name)
 	}
-	reg := cfg.registry()
+	cfg = cfg.withDefaults()
+	reg := cfg.Registry
 	firedVec := reg.CounterVec("notify.sink.fired", names)
 	deliveredVec := reg.CounterVec("notify.sink.delivered", names)
 	droppedVec := reg.CounterVec("notify.sink.dropped", names)
@@ -211,7 +190,7 @@ func New(cfg Config) (*Notifier, error) {
 	for _, s := range cfg.Sinks {
 		w := &sinkWorker{
 			sink:      s,
-			ch:        make(chan Notification, cfg.queueDepth()),
+			ch:        make(chan Notification, cfg.QueueDepth),
 			fired:     firedVec.With(s.Name()),
 			delivered: deliveredVec.With(s.Name()),
 			dropped:   droppedVec.With(s.Name()),
@@ -232,7 +211,7 @@ func (n *Notifier) Notify(t Notification) {
 	n.seen.Inc()
 	at := t.At
 	if at.IsZero() {
-		at = n.cfg.now()
+		at = n.cfg.Now()
 		t.At = at
 	}
 	n.mu.Lock()
@@ -246,7 +225,7 @@ func (n *Notifier) Notify(t Notification) {
 			n.dedupSupp.Inc()
 			return
 		}
-		if at.Sub(ln.at) < n.cfg.minHold() {
+		if at.Sub(ln.at) < n.cfg.MinHold {
 			n.mu.Unlock()
 			n.flapSupp.Inc()
 			return
@@ -287,11 +266,11 @@ func (n *Notifier) run(w *sinkWorker) {
 
 // deliver tries one notification against one sink with bounded retries.
 func (n *Notifier) deliver(w *sinkWorker, t Notification) {
-	backoff := n.cfg.backoff()
-	max := n.cfg.maxAttempts()
+	backoff := n.cfg.Backoff
+	max := n.cfg.MaxAttempts
 	for attempt := 1; ; attempt++ {
 		w.attempts.Inc()
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.timeout())
+		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Timeout)
 		err := w.sink.Deliver(ctx, t)
 		cancel()
 		if err == nil {
@@ -303,7 +282,7 @@ func (n *Notifier) deliver(w *sinkWorker, t Notification) {
 			return
 		}
 		w.retries.Inc()
-		n.cfg.sleep(context.Background(), backoff)
+		n.cfg.Sleep(context.Background(), backoff)
 		backoff *= 2
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,5 +281,58 @@ func TestLogSinkNeverFails(t *testing.T) {
 	s := NewLogSink("journal", nil)
 	if err := s.Deliver(context.Background(), Notification{Objective: "slo.a.b"}); err != nil {
 		t.Fatalf("log sink: %v", err)
+	}
+}
+
+// TestConfigDefaults: zero and negative knobs resolve to the documented
+// defaults, explicit values (clock and sleep included) survive.
+func TestConfigDefaults(t *testing.T) {
+	epoch := time.Unix(42, 0)
+	var slept time.Duration
+	reg := obs.NewRegistry()
+	explicit := Config{
+		MaxAttempts: 5, Backoff: time.Second, Timeout: 3 * time.Second, QueueDepth: 7,
+		MinHold: time.Hour, Registry: reg,
+		Now:   func() time.Time { return epoch },
+		Sleep: func(_ context.Context, d time.Duration) { slept = d },
+	}
+	defaults := Config{
+		MaxAttempts: 3, Backoff: 50 * time.Millisecond, Timeout: 2 * time.Second,
+		QueueDepth: 64, MinHold: time.Minute, Registry: obs.Default(),
+	}
+	cases := []struct {
+		name     string
+		in, want Config
+	}{
+		{"zero", Config{}, defaults},
+		{"negative", Config{MaxAttempts: -1, Backoff: -1, Timeout: -1, QueueDepth: -1, MinHold: -1}, defaults},
+		{"explicit", explicit, explicit},
+	}
+	for _, tc := range cases {
+		got := tc.in.withDefaults()
+		if got.Now == nil || got.Sleep == nil {
+			t.Fatalf("%s: clock or sleep left nil", tc.name)
+		}
+		if tc.in.Now == nil {
+			// The default sleep waits out d, or returns once ctx is done.
+			start := time.Now()
+			got.Sleep(context.Background(), 20*time.Millisecond)
+			if waited := time.Since(start); waited < 20*time.Millisecond {
+				t.Fatalf("%s: default sleep returned after %v", tc.name, waited)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			got.Sleep(ctx, time.Hour)
+		} else if !got.Now().Equal(epoch) {
+			t.Fatalf("%s: explicit clock replaced", tc.name)
+		} else if got.Sleep(context.Background(), 9); slept != 9 {
+			t.Fatalf("%s: explicit sleep replaced", tc.name)
+		}
+		got.Now, got.Sleep, tc.want.Now, tc.want.Sleep = nil, nil, nil, nil
+		// DeepEqual looks through pointers; the registry must be the
+		// very instance, not an equal-looking fresh one.
+		if !reflect.DeepEqual(got, tc.want) || got.Registry != tc.want.Registry {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
 	}
 }

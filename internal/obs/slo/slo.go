@@ -11,7 +11,6 @@
 package slo
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -146,53 +145,31 @@ type Transition struct {
 	Alert       Alert
 }
 
-func (c *Config) fastWindow() time.Duration {
-	if c.FastWindow > 0 {
-		return c.FastWindow
+// withDefaults resolves every zero knob to its documented default,
+// once, at construction.
+func (c Config) withDefaults() Config {
+	if c.FastWindow <= 0 {
+		c.FastWindow = 5 * time.Minute
 	}
-	return 5 * time.Minute
-}
-
-func (c *Config) slowWindow() time.Duration {
-	if c.SlowWindow > 0 {
-		return c.SlowWindow
+	if c.SlowWindow <= 0 {
+		c.SlowWindow = time.Hour
 	}
-	return time.Hour
-}
-
-func (c *Config) warnBurn() float64 {
-	if c.WarnBurn > 0 {
-		return c.WarnBurn
+	if c.WarnBurn <= 0 {
+		c.WarnBurn = 2
 	}
-	return 2
-}
-
-func (c *Config) critBurn() float64 {
-	if c.CritBurn > 0 {
-		return c.CritBurn
+	if c.CritBurn <= 0 {
+		c.CritBurn = 10
 	}
-	return 10
-}
-
-func (c *Config) minSamples() int {
-	if c.MinSamples > 0 {
-		return c.MinSamples
+	if c.MinSamples <= 0 {
+		c.MinSamples = 3
 	}
-	return 3
-}
-
-func (c *Config) registry() *obs.Registry {
-	if c.Registry != nil {
-		return c.Registry
+	if c.Registry == nil {
+		c.Registry = obs.Default()
 	}
-	return obs.Default()
-}
-
-func (c *Config) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
+	if c.Now == nil {
+		c.Now = time.Now
 	}
-	return time.Now()
+	return c
 }
 
 // Alert is one objective's current verdict — the /alertz document row.
@@ -240,7 +217,6 @@ type objectiveState struct {
 // objective) and is expected to run at the sampling cadence.
 type Engine struct {
 	cfg  Config
-	reg  *obs.Registry
 	mu   sync.Mutex
 	objs []*objectiveState
 
@@ -260,8 +236,9 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("slo: config needs at least one objective")
 	}
 	seen := make(map[string]bool, len(cfg.Objectives))
-	now := cfg.now()
-	e := &Engine{cfg: cfg, reg: cfg.registry()}
+	cfg = cfg.withDefaults()
+	now := cfg.Now()
+	e := &Engine{cfg: cfg}
 	for _, o := range cfg.Objectives {
 		if err := o.validate(); err != nil {
 			return nil, err
@@ -272,10 +249,10 @@ func New(cfg Config) (*Engine, error) {
 		seen[o.Name] = true
 		e.objs = append(e.objs, &objectiveState{obj: o, state: StateOK, since: now})
 	}
-	e.evaluations = e.reg.Counter("slo.engine.evaluations")
-	e.transitions = e.reg.CounterVec("slo.engine.transitions", stateNames)
-	e.warnGauge = e.reg.Gauge("slo.engine.warning")
-	e.critGauge = e.reg.Gauge("slo.engine.critical")
+	e.evaluations = e.cfg.Registry.Counter("slo.engine.evaluations")
+	e.transitions = e.cfg.Registry.CounterVec("slo.engine.transitions", stateNames)
+	e.warnGauge = e.cfg.Registry.Gauge("slo.engine.warning")
+	e.critGauge = e.cfg.Registry.Gauge("slo.engine.critical")
 	return e, nil
 }
 
@@ -328,10 +305,10 @@ func (e *Engine) errorRate(o *Objective, w time.Duration, minSamples int) (rate 
 // at an evicted trace is worse than one pointing at a fast request
 // from the same incident.
 func (e *Engine) exemplarFor(o *Objective) string {
-	if o.ExemplarSource == "" || e.reg == nil {
+	if o.ExemplarSource == "" {
 		return ""
 	}
-	h := e.reg.LookupHistogram(o.ExemplarSource)
+	h := e.cfg.Registry.LookupHistogram(o.ExemplarSource)
 	if h == nil {
 		return ""
 	}
@@ -354,10 +331,10 @@ func (e *Engine) exemplarFor(o *Objective) string {
 
 // Evaluate runs one pass of the state machine over every objective.
 func (e *Engine) Evaluate() {
-	now := e.cfg.now()
-	fast, slow := e.cfg.fastWindow(), e.cfg.slowWindow()
-	warnAt, critAt := e.cfg.warnBurn(), e.cfg.critBurn()
-	minSamples := e.cfg.minSamples()
+	now := e.cfg.Now()
+	fast, slow := e.cfg.FastWindow, e.cfg.SlowWindow
+	warnAt, critAt := e.cfg.WarnBurn, e.cfg.CritBurn
+	minSamples := e.cfg.MinSamples
 
 	e.mu.Lock()
 	e.evaluations.Inc()
@@ -457,11 +434,11 @@ type Status struct {
 // Status assembles the exportable engine state.
 func (e *Engine) Status() Status {
 	return Status{
-		GeneratedAt: e.cfg.now(),
-		FastWindow:  e.cfg.fastWindow().String(),
-		SlowWindow:  e.cfg.slowWindow().String(),
-		WarnBurn:    e.cfg.warnBurn(),
-		CritBurn:    e.cfg.critBurn(),
+		GeneratedAt: e.cfg.Now(),
+		FastWindow:  e.cfg.FastWindow.String(),
+		SlowWindow:  e.cfg.SlowWindow.String(),
+		WarnBurn:    e.cfg.WarnBurn,
+		CritBurn:    e.cfg.CritBurn,
 		Alerts:      e.Alerts(),
 	}
 }
@@ -470,15 +447,9 @@ func (e *Engine) Status() Status {
 func Handler(e *Engine) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			obs.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
-		data, err := json.Marshal(e.Status())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(data, '\n'))
+		obs.WriteJSON(w, e.Status(), nil)
 	})
 }

@@ -3,6 +3,7 @@ package slo
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -372,5 +373,36 @@ func TestLastTransitionTimestampAndCallback(t *testing.T) {
 	}
 	if len(fired) != 2 || fired[1].From != StateCritical || fired[1].To != StateOK {
 		t.Fatalf("fired = %+v", fired)
+	}
+}
+
+// TestConfigDefaults: zero and negative knobs resolve to the documented
+// defaults, explicit values survive.
+func TestConfigDefaults(t *testing.T) {
+	epoch := time.Unix(42, 0)
+	reg := obs.NewRegistry()
+	explicit := Config{FastWindow: time.Second, SlowWindow: time.Minute, WarnBurn: 3, CritBurn: 7,
+		MinSamples: 9, Registry: reg, Now: func() time.Time { return epoch }}
+	defaults := Config{FastWindow: 5 * time.Minute, SlowWindow: time.Hour, WarnBurn: 2, CritBurn: 10,
+		MinSamples: 3, Registry: obs.Default()}
+	cases := []struct {
+		name     string
+		in, want Config
+	}{
+		{"zero", Config{}, defaults},
+		{"negative", Config{FastWindow: -1, SlowWindow: -1, WarnBurn: -1, CritBurn: -1, MinSamples: -1}, defaults},
+		{"explicit", explicit, explicit},
+	}
+	for _, tc := range cases {
+		got := tc.in.withDefaults()
+		if got.Now == nil || (tc.in.Now != nil && !got.Now().Equal(epoch)) {
+			t.Fatalf("%s: clock not resolved", tc.name)
+		}
+		got.Now, tc.want.Now = nil, nil
+		// DeepEqual looks through pointers; the registry must be the
+		// very instance, not an equal-looking fresh one.
+		if !reflect.DeepEqual(got, tc.want) || got.Registry != tc.want.Registry {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
 	}
 }

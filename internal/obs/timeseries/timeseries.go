@@ -326,25 +326,19 @@ type Config struct {
 	Capacity int
 }
 
-func (c *Config) registry() *obs.Registry {
-	if c.Registry != nil {
-		return c.Registry
+// withDefaults resolves every zero knob to its documented default,
+// once, at construction.
+func (c Config) withDefaults() Config {
+	if c.Registry == nil {
+		c.Registry = obs.Default()
 	}
-	return obs.Default()
-}
-
-func (c *Config) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
+	if c.Interval <= 0 {
+		c.Interval = 5 * time.Second
 	}
-	return 5 * time.Second
-}
-
-func (c *Config) capacity() int {
-	if c.Capacity > 0 {
-		return c.Capacity
+	if c.Capacity <= 0 {
+		c.Capacity = 360
 	}
-	return 360
+	return c
 }
 
 // quantile suffixes every histogram contributes, matching the p50/p95/
@@ -410,10 +404,11 @@ type Sampler struct {
 // NewSampler builds a stopped sampler; call Start for the background
 // loop or SampleNow for manual, deterministic ticks (tests, soaks).
 func NewSampler(cfg Config) *Sampler {
+	cfg = cfg.withDefaults()
 	return &Sampler{
-		reg:      cfg.registry(),
-		interval: cfg.interval(),
-		store:    NewStore(cfg.capacity()),
+		reg:      cfg.Registry,
+		interval: cfg.Interval,
+		store:    NewStore(cfg.Capacity),
 		byName:   make(map[string]any),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

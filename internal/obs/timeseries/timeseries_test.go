@@ -288,3 +288,24 @@ func TestSamplerRestartBaselinesAtCurrentValue(t *testing.T) {
 		t.Errorf("rate after second restart = %v ok=%v, want 7 and never negative", v, ok)
 	}
 }
+
+// TestConfigDefaults: zero and negative knobs resolve to the documented
+// defaults, explicit values survive.
+func TestConfigDefaults(t *testing.T) {
+	reg := obs.NewRegistry()
+	defaults := Config{Registry: obs.Default(), Interval: 5 * time.Second, Capacity: 360}
+	explicit := Config{Registry: reg, Interval: time.Second, Capacity: 9}
+	cases := []struct {
+		name     string
+		in, want Config
+	}{
+		{"zero", Config{}, defaults},
+		{"negative", Config{Interval: -1, Capacity: -1}, defaults},
+		{"explicit", explicit, explicit},
+	}
+	for _, tc := range cases {
+		if got := tc.in.withDefaults(); got != tc.want {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+}

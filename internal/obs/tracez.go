@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -129,7 +128,7 @@ func (t *Tracer) TracezSnap() TracezSnapshot {
 func TracezHandler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		q := req.URL.Query()
@@ -137,9 +136,10 @@ func TracezHandler(t *Tracer) http.Handler {
 		if id := SanitizeTraceID(q.Get("trace")); q.Get("trace") != "" {
 			legs := t.TraceByID(id)
 			if len(legs) == 0 {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusNotFound)
-				fmt.Fprintf(w, "{\"error\":\"trace not found\",\"trace_id\":%q}\n", id)
+				// The response concerns the looked-up trace, so its ID is
+				// the one the header and the error body carry.
+				w.Header().Set(TraceHeader, id)
+				WriteJSONError(w, http.StatusNotFound, "trace not found")
 				return
 			}
 			if asText {
@@ -147,10 +147,10 @@ func TracezHandler(t *Tracer) http.Handler {
 				fmt.Fprint(w, RenderWaterfall(legs))
 				return
 			}
-			writeTracezJSON(w, struct {
+			WriteJSON(w, struct {
 				TraceID string           `json:"trace_id"`
 				Legs    []*TraceSnapshot `json:"legs"`
-			}{TraceID: id, Legs: legs})
+			}{TraceID: id, Legs: legs}, nil)
 			return
 		}
 		if asText {
@@ -171,18 +171,8 @@ func TracezHandler(t *Tracer) http.Handler {
 			}
 			return
 		}
-		writeTracezJSON(w, t.TracezSnap())
+		WriteJSON(w, t.TracezSnap(), nil)
 	})
-}
-
-func writeTracezJSON(w http.ResponseWriter, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(data, '\n'))
 }
 
 // RenderWaterfall renders the legs of one trace as a plain-text

@@ -1,8 +1,9 @@
 package resilience
 
 import (
-	"container/list"
 	"sync"
+
+	"hdmaps/internal/lru"
 )
 
 // responseCache is a bounded LRU of captured 200-responses keyed by
@@ -17,15 +18,8 @@ import (
 // put is skipped atomically with that check (see flightGroup.finish),
 // so an invalidation can never be undone by a stale late insert.
 type responseCache struct {
-	mu  sync.Mutex
-	max int
-	ll  *list.List // front = most recent; values are *cacheItem
-	m   map[string]*list.Element
-}
-
-type cacheItem struct {
-	key  string
-	resp *capturedResponse
+	mu sync.Mutex
+	c  *lru.Cache[string, *capturedResponse]
 }
 
 // newResponseCache creates a cache holding at most max responses
@@ -34,19 +28,14 @@ func newResponseCache(max int) *responseCache {
 	if max <= 0 {
 		max = 1024
 	}
-	return &responseCache{max: max, ll: list.New(), m: make(map[string]*list.Element)}
+	return &responseCache{c: lru.New[string, *capturedResponse](max)}
 }
 
 // get returns the cached response for key, refreshing recency.
 func (c *responseCache) get(key string) (*capturedResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(e)
-	return e.Value.(*cacheItem).resp, true
+	return c.c.Get(key)
 }
 
 // put stores a response, evicting the least recently used entry when
@@ -54,34 +43,19 @@ func (c *responseCache) get(key string) (*capturedResponse, bool) {
 func (c *responseCache) put(key string, resp *capturedResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok {
-		e.Value.(*cacheItem).resp = resp
-		c.ll.MoveToFront(e)
-		return
-	}
-	if c.ll.Len() >= c.max {
-		back := c.ll.Back()
-		if back != nil {
-			c.ll.Remove(back)
-			delete(c.m, back.Value.(*cacheItem).key)
-		}
-	}
-	c.m[key] = c.ll.PushFront(&cacheItem{key: key, resp: resp})
+	c.c.Add(key, resp)
 }
 
 // invalidate drops key (a no-op when absent).
 func (c *responseCache) invalidate(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok {
-		c.ll.Remove(e)
-		delete(c.m, key)
-	}
+	c.c.Remove(key)
 }
 
 // len reports the number of cached responses (diagnostic).
 func (c *responseCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.c.Len()
 }

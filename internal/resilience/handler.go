@@ -2,9 +2,9 @@ package resilience
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -86,57 +86,29 @@ type Config struct {
 	Events *eventlog.Log
 }
 
-func (c Config) maxConcurrent() int64 {
+// withDefaults resolves every zero or negative knob the handler reads
+// to its documented default, once, at construction.
+func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
-		return 64
+		c.MaxConcurrent = 64
 	}
-	return c.MaxConcurrent
-}
-
-func (c Config) writeWeight() int64 {
-	w := c.WriteWeight
-	if w <= 0 {
-		w = 4
+	if c.WriteWeight <= 0 {
+		c.WriteWeight = 4
 	}
-	if m := c.maxConcurrent(); w > m {
-		w = m
-	}
-	return w
-}
-
-func (c Config) maxWait() time.Duration {
+	c.WriteWeight = min(c.WriteWeight, c.MaxConcurrent)
 	if c.MaxWait <= 0 {
-		return 100 * time.Millisecond
+		c.MaxWait = 100 * time.Millisecond
 	}
-	return c.MaxWait
-}
-
-func (c Config) requestTimeout() time.Duration {
 	if c.RequestTimeout <= 0 {
-		return 5 * time.Second
+		c.RequestTimeout = 5 * time.Second
 	}
-	return c.RequestTimeout
-}
-
-func (c Config) retryAfter() time.Duration {
 	if c.RetryAfter <= 0 {
-		return time.Second
+		c.RetryAfter = time.Second
 	}
-	return c.RetryAfter
-}
-
-func (c Config) rateBurst() int {
-	if c.RateBurst > 0 {
-		return c.RateBurst
+	if c.RateBurst <= 0 {
+		c.RateBurst = max(1, int(math.Ceil(c.RatePerClient)))
 	}
-	b := int(c.RatePerClient)
-	if float64(b) < c.RatePerClient {
-		b++
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return c
 }
 
 // Handler wraps an http.Handler (in this repo: storage.TileServer) in
@@ -202,6 +174,7 @@ var (
 
 // NewHandler wraps inner in the overload pipeline.
 func NewHandler(inner http.Handler, cfg Config) *Handler {
+	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -209,7 +182,7 @@ func NewHandler(inner http.Handler, cfg Config) *Handler {
 	h := &Handler{
 		inner:         inner,
 		cfg:           cfg,
-		sem:           NewSemaphore(cfg.maxConcurrent()),
+		sem:           NewSemaphore(cfg.MaxConcurrent),
 		flight:        newFlightGroup(),
 		metrics:       reg,
 		tracer:        cfg.Tracer,
@@ -223,7 +196,7 @@ func NewHandler(inner http.Handler, cfg Config) *Handler {
 		shedReason:    reg.CounterVec("resilience.shed.reason", []string{"draining", "admission", "rate_limit"}),
 	}
 	if cfg.RatePerClient > 0 {
-		h.limiter = NewClientLimiter(cfg.RatePerClient, cfg.rateBurst(), cfg.MaxClients, cfg.Now)
+		h.limiter = NewClientLimiter(cfg.RatePerClient, cfg.RateBurst, cfg.MaxClients, cfg.Now)
 	}
 	if cfg.CacheSize >= 0 {
 		h.cache = newResponseCache(cfg.CacheSize)
@@ -319,7 +292,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		draining := h.draining
 		h.mu.Unlock()
 		if draining {
-			w.Header().Set("Retry-After", retryAfterValue(h.cfg.retryAfter()))
+			w.Header().Set("Retry-After", retryAfterValue(h.cfg.RetryAfter))
 			w.WriteHeader(http.StatusServiceUnavailable)
 			_, _ = w.Write([]byte("draining\n"))
 			return
@@ -328,9 +301,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("ready\n"))
 		return
 	case "/statz":
-		data, _ := json.Marshal(h.Stats())
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(data, '\n'))
+		obs.WriteJSON(w, h.Stats(), nil)
 		return
 	case "/metricz":
 		h.metricz.ServeHTTP(w, r)
@@ -392,7 +363,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	draining := h.draining
 	h.mu.Unlock()
 	if draining {
-		h.shed(w, r, http.StatusServiceUnavailable, "draining", h.cfg.retryAfter(), false)
+		h.shed(w, r, http.StatusServiceUnavailable, "draining", h.cfg.RetryAfter, false)
 		return
 	}
 
@@ -401,8 +372,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ok, retryIn := h.limiter.Allow(clientID(r))
 		lsp.End()
 		if !ok {
-			if retryIn < h.cfg.retryAfter() {
-				retryIn = h.cfg.retryAfter()
+			if retryIn < h.cfg.RetryAfter {
+				retryIn = h.cfg.RetryAfter
 			}
 			h.shed(w, r, http.StatusTooManyRequests, "rate-limit", retryIn, true)
 			return
@@ -411,9 +382,9 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	weight := int64(1)
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		weight = h.cfg.writeWeight()
+		weight = h.cfg.WriteWeight
 	}
-	actx, acancel := context.WithTimeout(r.Context(), h.cfg.maxWait())
+	actx, acancel := context.WithTimeout(r.Context(), h.cfg.MaxWait)
 	asp := root.StartChild("admission.wait")
 	waitStart := time.Now()
 	err := h.sem.Acquire(actx, weight)
@@ -424,12 +395,12 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	asp.EndWith(wait)
 	acancel()
 	if err != nil {
-		h.shed(w, r, http.StatusServiceUnavailable, "admission", h.cfg.retryAfter(), false)
+		h.shed(w, r, http.StatusServiceUnavailable, "admission", h.cfg.RetryAfter, false)
 		return
 	}
 	defer h.sem.Release(weight)
 
-	rctx, rcancel := context.WithTimeout(r.Context(), h.cfg.requestTimeout())
+	rctx, rcancel := context.WithTimeout(r.Context(), h.cfg.RequestTimeout)
 	defer rcancel()
 	if r.Method == http.MethodGet && isTilePath(r.URL.Path) {
 		h.serveRead(w, r, rctx)
@@ -541,7 +512,7 @@ func (h *Handler) serveRead(w http.ResponseWriter, r *http.Request, ctx context.
 
 	call, leader := h.flight.join(key)
 	if leader {
-		ictx, icancel := context.WithTimeout(context.Background(), h.cfg.requestTimeout())
+		ictx, icancel := context.WithTimeout(context.Background(), h.cfg.RequestTimeout)
 		req := r.Clone(ictx)
 		// The detached read must not touch the origin connection's body.
 		req.Body = http.NoBody
@@ -590,7 +561,7 @@ func (h *Handler) serveRead(w http.ResponseWriter, r *http.Request, ctx context.
 		wsp.End()
 		h.stats.errored.Add(1)
 		writeOverloadError(w, http.StatusServiceUnavailable, "request deadline exceeded",
-			"", h.cfg.retryAfter())
+			"", h.cfg.RetryAfter)
 	}
 }
 
@@ -627,7 +598,7 @@ func (h *Handler) serveDirect(w http.ResponseWriter, r *http.Request, ctx contex
 		// have landed, but this client cannot be told so in time.
 		h.stats.errored.Add(1)
 		writeOverloadError(w, http.StatusServiceUnavailable, "request deadline exceeded",
-			"", h.cfg.retryAfter())
+			"", h.cfg.RetryAfter)
 		return
 	}
 	h.stats.accepted.Add(1)
@@ -674,24 +645,15 @@ func (h *Handler) shed(w http.ResponseWriter, r *http.Request, status int, reaso
 }
 
 // writeOverloadError emits a resilience-layer JSON error; retryIn > 0
-// adds Retry-After, reason != "" adds ShedHeader. The trace ID the
-// pipeline stamped on the response header is repeated in the body, so
-// a client that only kept the payload can still quote the ID when
-// filing a report.
+// adds Retry-After, reason != "" adds ShedHeader.
 func writeOverloadError(w http.ResponseWriter, status int, msg, reason string, retryIn time.Duration) {
-	w.Header().Set("Content-Type", "application/json")
 	if reason != "" {
 		w.Header().Set(ShedHeader, reason)
 	}
 	if retryIn > 0 {
 		w.Header().Set("Retry-After", retryAfterValue(retryIn))
 	}
-	w.WriteHeader(status)
-	if trace := w.Header().Get(obs.TraceHeader); trace != "" {
-		_, _ = fmt.Fprintf(w, "{\"error\":%q,\"trace_id\":%q}\n", msg, trace)
-		return
-	}
-	_, _ = fmt.Fprintf(w, "{\"error\":%q}\n", msg)
+	obs.WriteJSONError(w, status, msg)
 }
 
 // retryAfterValue renders a duration as whole seconds, rounded up so

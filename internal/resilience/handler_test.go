@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -558,4 +559,42 @@ func TestHandlerDrainDeadline(t *testing.T) {
 		t.Fatal("drain met its deadline with a stuck request in flight")
 	}
 	close(inner.release)
+}
+
+// TestConfigDefaults: zero and negative knobs resolve to the documented
+// defaults — WriteWeight clamped to MaxConcurrent, RateBurst rounded up
+// from RatePerClient and at least 1 — and explicit values survive.
+func TestConfigDefaults(t *testing.T) {
+	defaults := Config{MaxConcurrent: 64, WriteWeight: 4, MaxWait: 100 * time.Millisecond,
+		RequestTimeout: 5 * time.Second, RetryAfter: time.Second, RateBurst: 1}
+	explicit := Config{MaxConcurrent: 9, WriteWeight: 7, MaxWait: time.Millisecond,
+		RequestTimeout: time.Minute, RetryAfter: 3 * time.Second, RatePerClient: 0.5, RateBurst: 6,
+		MaxClients: 11, CacheSize: 13}
+	cases := []struct {
+		name     string
+		in, want Config
+	}{
+		{"zero", Config{}, defaults},
+		{"negative", Config{MaxConcurrent: -1, WriteWeight: -1, MaxWait: -1, RequestTimeout: -1,
+			RetryAfter: -1, RateBurst: -1, MaxClients: -1, CacheSize: -1},
+			Config{MaxConcurrent: 64, WriteWeight: 4, MaxWait: 100 * time.Millisecond,
+				RequestTimeout: 5 * time.Second, RetryAfter: time.Second, RateBurst: 1,
+				MaxClients: -1, CacheSize: -1}},
+		{"explicit", explicit, explicit},
+		{"write weight clamped", Config{MaxConcurrent: 2},
+			Config{MaxConcurrent: 2, WriteWeight: 2, MaxWait: 100 * time.Millisecond,
+				RequestTimeout: 5 * time.Second, RetryAfter: time.Second, RateBurst: 1}},
+		{"burst rounds the rate up", Config{RatePerClient: 2.5},
+			Config{MaxConcurrent: 64, WriteWeight: 4, MaxWait: 100 * time.Millisecond,
+				RequestTimeout: 5 * time.Second, RetryAfter: time.Second, RatePerClient: 2.5, RateBurst: 3}},
+	}
+	for _, tc := range cases {
+		if got := tc.in.withDefaults(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+	// The constructor applies them once.
+	if h := NewHandler(http.NotFoundHandler(), Config{}); !reflect.DeepEqual(h.cfg, defaults) {
+		t.Fatalf("NewHandler cfg:\n got %+v\nwant %+v", h.cfg, defaults)
+	}
 }

@@ -12,9 +12,10 @@
 package resilience
 
 import (
-	"container/list"
 	"sync"
 	"time"
+
+	"hdmaps/internal/lru"
 )
 
 // TokenBucket is a classic token-bucket rate limiter: capacity Burst
@@ -102,19 +103,12 @@ func (b *TokenBucket) refill() {
 // an attacker minting fresh identities was never held by per-identity
 // buckets in the first place.
 type ClientLimiter struct {
-	rate       float64
-	burst      int
-	maxClients int
-	now        func() time.Time
+	rate  float64
+	burst int
+	now   func() time.Time
 
 	mu      sync.Mutex
-	ll      *list.List               // front = most recently seen; values are *clientEntry
-	buckets map[string]*list.Element
-}
-
-type clientEntry struct {
-	id string
-	b  *TokenBucket
+	buckets *lru.Cache[string, *TokenBucket]
 }
 
 // NewClientLimiter creates a limiter granting each client rate
@@ -128,9 +122,8 @@ func NewClientLimiter(rate float64, burst, maxClients int, now func() time.Time)
 		now = time.Now
 	}
 	return &ClientLimiter{
-		rate: rate, burst: burst, maxClients: maxClients, now: now,
-		ll:      list.New(),
-		buckets: make(map[string]*list.Element),
+		rate: rate, burst: burst, now: now,
+		buckets: lru.New[string, *TokenBucket](maxClients),
 	}
 }
 
@@ -141,21 +134,13 @@ func (l *ClientLimiter) Allow(id string) (ok bool, retryIn time.Duration) {
 	if l == nil || l.rate <= 0 {
 		return true, 0
 	}
+	// Get-or-create under one lock hold, so two first requests from one
+	// client share a bucket.
 	l.mu.Lock()
-	var b *TokenBucket
-	if e, found := l.buckets[id]; found {
-		l.ll.MoveToFront(e)
-		b = e.Value.(*clientEntry).b
-	} else {
-		if len(l.buckets) >= l.maxClients {
-			back := l.ll.Back()
-			if back != nil {
-				l.ll.Remove(back)
-				delete(l.buckets, back.Value.(*clientEntry).id)
-			}
-		}
+	b, found := l.buckets.Get(id)
+	if !found {
 		b = NewTokenBucket(l.rate, l.burst, l.now)
-		l.buckets[id] = l.ll.PushFront(&clientEntry{id: id, b: b})
+		l.buckets.Add(id, b)
 	}
 	l.mu.Unlock()
 	if b.Allow() {
@@ -168,5 +153,5 @@ func (l *ClientLimiter) Allow(id string) (ok bool, retryIn time.Duration) {
 func (l *ClientLimiter) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.buckets)
+	return l.buckets.Len()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -112,6 +113,31 @@ func TestClientLimiterBoundedLRU(t *testing.T) {
 	l.Allow("new-last")
 	if ok, _ := l.Allow("vehicle-hot"); ok {
 		t.Fatal("active limited client was evicted by the flood (debt forgotten)")
+	}
+}
+
+// TestClientLimiterConcurrentFirstRequests: racing first requests of
+// one client share one bucket (get-or-create is atomic), so exactly
+// burst of them pass.
+func TestClientLimiterConcurrentFirstRequests(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	for round := 0; round < 20; round++ {
+		l := NewClientLimiter(1, 3, 8, clk.now)
+		var passed atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if ok, _ := l.Allow("vehicle"); ok {
+					passed.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := passed.Load(); n != 3 {
+			t.Fatalf("round %d: %d first requests passed, want burst 3", round, n)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"hdmaps/internal/lru"
 )
 
 // TileCache keeps last-known-good tile payloads on the vehicle so the
@@ -12,15 +14,12 @@ import (
 // TileKey and safe for concurrent use.
 type TileCache struct {
 	mu    sync.Mutex
-	max   int
-	seq   uint64
-	tiles map[TileKey]*cacheEntry
+	tiles *lru.Cache[TileKey, cacheEntry]
 }
 
 type cacheEntry struct {
 	data     []byte
 	storedAt time.Time
-	seq      uint64
 }
 
 // NewTileCache creates a cache holding at most max tiles (<=0 means
@@ -29,7 +28,7 @@ func NewTileCache(max int) *TileCache {
 	if max <= 0 {
 		max = 1024
 	}
-	return &TileCache{max: max, tiles: make(map[TileKey]*cacheEntry)}
+	return &TileCache{tiles: lru.New[TileKey, cacheEntry](max)}
 }
 
 // Put stores (a copy of) a tile payload as the last-known-good version
@@ -39,18 +38,7 @@ func (c *TileCache) Put(key TileKey, data []byte) {
 	copy(cp, data)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seq++
-	if _, ok := c.tiles[key]; !ok && len(c.tiles) >= c.max {
-		var victim TileKey
-		var oldest uint64 = ^uint64(0)
-		for k, e := range c.tiles {
-			if e.seq < oldest {
-				oldest, victim = e.seq, k
-			}
-		}
-		delete(c.tiles, victim)
-	}
-	c.tiles[key] = &cacheEntry{data: cp, storedAt: time.Now(), seq: c.seq}
+	c.tiles.Add(key, cacheEntry{data: cp, storedAt: time.Now()})
 }
 
 // Get returns a copy of the cached payload, when it was stored, and
@@ -58,12 +46,10 @@ func (c *TileCache) Put(key TileKey, data []byte) {
 func (c *TileCache) Get(key TileKey) ([]byte, time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.tiles[key]
+	e, ok := c.tiles.Get(key)
 	if !ok {
 		return nil, time.Time{}, false
 	}
-	c.seq++
-	e.seq = c.seq
 	cp := make([]byte, len(e.data))
 	copy(cp, e.data)
 	return cp, e.storedAt, true
@@ -75,11 +61,11 @@ func (c *TileCache) Keys(layer string) []TileKey {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []TileKey
-	for k := range c.tiles {
+	c.tiles.Walk(func(k TileKey, _ cacheEntry) {
 		if k.Layer == layer {
 			out = append(out, k)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Morton() < out[j].Morton() })
 	return out
 }
@@ -88,5 +74,5 @@ func (c *TileCache) Keys(layer string) []TileKey {
 func (c *TileCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.tiles)
+	return c.tiles.Len()
 }

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hdmaps/internal/obs"
 )
 
 // TestClientHonorsRetryAfter: a shed 503 carrying Retry-After must be
@@ -136,7 +138,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 func TestWriteJSONErrorSingleWriteHeader(t *testing.T) {
 	w := newCountingWriter()
-	WriteJSONError(w, http.StatusBadRequest, "bad \x00 message \xff")
+	obs.WriteJSONError(w, http.StatusBadRequest, "bad \x00 message \xff")
 	if len(w.statusCalls) != 1 || w.statusCalls[0] != http.StatusBadRequest {
 		t.Fatalf("WriteHeader calls = %v, want exactly [400]", w.statusCalls)
 	}

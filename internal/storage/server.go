@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -148,26 +147,26 @@ func (s *TileServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case len(parts) == 2 && parts[0] == "v1" && parts[1] == "layers":
 		if r.Method != http.MethodGet {
-			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+			obs.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		s.handleLayers(w)
 	case len(parts) == 3 && parts[0] == "v1" && parts[1] == "tiles":
 		if r.Method != http.MethodGet {
-			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+			obs.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		s.handleList(w, parts[2])
 	case len(parts) == 3 && parts[0] == "v1" && parts[1] == "digest":
 		if r.Method != http.MethodGet {
-			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+			obs.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		s.handleDigest(w, r, parts[2])
 	case len(parts) == 5 && parts[0] == "v1" && parts[1] == "tiles":
 		key, err := ParseTileKey(parts[2], parts[3], parts[4])
 		if err != nil {
-			WriteJSONError(w, http.StatusBadRequest, err.Error())
+			obs.WriteJSONError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		switch r.Method {
@@ -178,10 +177,10 @@ func (s *TileServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case http.MethodDelete:
 			s.handleDelete(w, r, key)
 		default:
-			WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+			obs.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 		}
 	default:
-		WriteJSONError(w, http.StatusNotFound, "not found")
+		obs.WriteJSONError(w, http.StatusNotFound, "not found")
 	}
 }
 
@@ -206,7 +205,7 @@ func (s *TileServer) handleLayers(w http.ResponseWriter) {
 	layers, err := s.store.ListLayers()
 	s.mu.RUnlock()
 	if err != nil {
-		WriteJSONError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if layers == nil {
@@ -220,7 +219,7 @@ func (s *TileServer) handleList(w http.ResponseWriter, layer string) {
 	keys, err := s.store.Keys(layer)
 	s.mu.RUnlock()
 	if err != nil {
-		WriteJSONError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	type entry struct {
@@ -253,11 +252,11 @@ func (s *TileServer) handleGet(w http.ResponseWriter, key TileKey) {
 			_, _ = w.Write(tr.data)
 			return
 		}
-		WriteJSONError(w, http.StatusNotFound, "tile not found")
+		obs.WriteJSONError(w, http.StatusNotFound, "tile not found")
 		return
 	}
 	if err != nil {
-		WriteJSONError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if !haveSum {
@@ -277,11 +276,11 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
-		WriteJSONError(w, http.StatusBadRequest, err.Error())
+		obs.WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if int64(len(data)) > limit {
-		WriteJSONError(w, http.StatusRequestEntityTooLarge, "tile too large")
+		obs.WriteJSONError(w, http.StatusRequestEntityTooLarge, "tile too large")
 		return
 	}
 	// A checksum mismatch means the payload was damaged in transit — the
@@ -289,14 +288,14 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	// the failure retryable for well-behaved clients.
 	if want := r.Header.Get(ChecksumHeader); want != "" && want != Checksum(data) {
 		w.Header().Set(TransientHeader, "checksum-mismatch")
-		WriteJSONError(w, http.StatusBadRequest,
+		obs.WriteJSONError(w, http.StatusBadRequest,
 			fmt.Sprintf("checksum mismatch: got %s want %s", Checksum(data), want))
 		return
 	}
 	if strings.HasPrefix(key.Layer, TombLayerPrefix) {
 		// Shadow layers change only through tombstone writes on the live
 		// key; a direct write could desynchronise marker and state.
-		WriteJSONError(w, http.StatusUnprocessableEntity, "reserved layer")
+		obs.WriteJSONError(w, http.StatusUnprocessableEntity, "reserved layer")
 		return
 	}
 	if strings.HasPrefix(key.Layer, HintLayerPrefix) {
@@ -306,7 +305,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	if IsTombstone(data) {
 		ts, err := DecodeTombstone(data)
 		if err != nil {
-			WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tombstone: %v", err))
+			obs.WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tombstone: %v", err))
 			return
 		}
 		s.putTombstone(w, r, key, ts, data)
@@ -315,12 +314,12 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	// Tiles must decode as maps: the server refuses corrupt uploads so a
 	// bad producer cannot poison consumers.
 	if _, err := DecodeBinary(data); err != nil {
-		WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
+		obs.WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
 		return
 	}
 	clock, err := PeekClock(data)
 	if err != nil {
-		WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
+		obs.WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
 		return
 	}
 	s.mu.Lock()
@@ -334,7 +333,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 		// tombstone is a replay of something the delete already erased.
 		s.mu.Unlock()
 		w.Header().Set(StateHeader, cur.String())
-		WriteJSONError(w, http.StatusConflict, "write superseded by tombstone")
+		obs.WriteJSONError(w, http.StatusConflict, "write superseded by tombstone")
 		return
 	}
 	err = s.store.Put(key, data)
@@ -348,7 +347,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	}
 	s.mu.Unlock()
 	if err != nil {
-		WriteJSONError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -361,7 +360,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 func (s *TileServer) putHintCopy(w http.ResponseWriter, key TileKey, data []byte) {
 	if _, terr := DecodeTombstone(data); terr != nil {
 		if _, err := DecodeBinary(data); err != nil {
-			WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid hint payload: %v", err))
+			obs.WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid hint payload: %v", err))
 			return
 		}
 	}
@@ -372,7 +371,7 @@ func (s *TileServer) putHintCopy(w http.ResponseWriter, key TileKey, data []byte
 	}
 	s.mu.Unlock()
 	if err != nil {
-		WriteJSONError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -383,7 +382,7 @@ func (s *TileServer) putHintCopy(w http.ResponseWriter, key TileKey, data []byte
 // removed, atomically with the Expect precondition under s.mu.
 func (s *TileServer) putTombstone(w http.ResponseWriter, r *http.Request, key TileKey, ts Tombstone, data []byte) {
 	if ts.Key() != key {
-		WriteJSONError(w, http.StatusUnprocessableEntity,
+		obs.WriteJSONError(w, http.StatusUnprocessableEntity,
 			fmt.Sprintf("tombstone key %v does not match %v", ts.Key(), key))
 		return
 	}
@@ -405,7 +404,7 @@ func (s *TileServer) putTombstone(w http.ResponseWriter, r *http.Request, key Ti
 		// superseded" — distinct from a precondition mismatch.
 		s.mu.Unlock()
 		w.Header().Set(StateHeader, cur.String())
-		WriteJSONError(w, http.StatusConflict, "tombstone superseded by newer tile")
+		obs.WriteJSONError(w, http.StatusConflict, "tombstone superseded by newer tile")
 		return
 	}
 	err := s.store.Put(TileKey{Layer: tombLayer(key.Layer), TX: key.TX, TY: key.TY}, data)
@@ -419,7 +418,7 @@ func (s *TileServer) putTombstone(w http.ResponseWriter, r *http.Request, key Ti
 	}
 	s.mu.Unlock()
 	if err != nil {
-		WriteJSONError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -450,7 +449,7 @@ func (s *TileServer) handleDelete(w http.ResponseWriter, r *http.Request, key Ti
 	}
 	s.mu.Unlock()
 	if err != nil {
-		WriteJSONError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -493,14 +492,14 @@ func (s *TileServer) checkExpectLocked(w http.ResponseWriter, r *http.Request, c
 	}
 	want, err := ParseReplicaState(v)
 	if err != nil {
-		WriteJSONError(w, http.StatusBadRequest, err.Error())
+		obs.WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return false
 	}
 	match := want.Tomb == cur.Tomb && want.Found == cur.Found && want.Clock == cur.Clock &&
 		(!want.Found || want.Sum == cur.Sum)
 	if !match {
 		w.Header().Set(StateHeader, cur.String())
-		WriteJSONError(w, http.StatusPreconditionFailed, "state is "+cur.String()+", expected "+want.String())
+		obs.WriteJSONError(w, http.StatusPreconditionFailed, "state is "+cur.String()+", expected "+want.String())
 		return false
 	}
 	return true
@@ -508,43 +507,7 @@ func (s *TileServer) checkExpectLocked(w http.ResponseWriter, r *http.Request, c
 
 // WriteJSON sends a JSON body with a ChecksumHeader so clients can
 // detect in-transit damage to metadata (a corrupted tile list is as
-// dangerous as a corrupted tile). The body is marshalled *before* any
-// header or status reaches the wire: an encode failure must be free to
-// switch to a 500 error response, which is impossible once WriteHeader
-// has fired.
+// dangerous as a corrupted tile).
 func WriteJSON(w http.ResponseWriter, v interface{}) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		WriteJSONError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	data = append(data, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(ChecksumHeader, Checksum(data))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-}
-
-// WriteJSONError sends {"error": msg} with the given status so clients
-// can distinguish structured failures from tile payloads. The body is
-// encoded before the status is written; if the message itself cannot
-// be marshalled (it never should — but an error path must not have
-// error paths) a canned body is served instead of calling WriteHeader
-// twice.
-// The trace ID already stamped on the response header is repeated in
-// the body, so a client that dropped the headers still has the join
-// key for a support report.
-func WriteJSONError(w http.ResponseWriter, status int, msg string) {
-	body := map[string]string{"error": msg}
-	if trace := w.Header().Get(obs.TraceHeader); trace != "" {
-		body["trace_id"] = trace
-	}
-	data, err := json.Marshal(body)
-	if err != nil {
-		data = []byte(`{"error":"internal error"}`)
-	}
-	data = append(data, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(data)
+	obs.WriteJSON(w, v, func(h http.Header, body []byte) { h.Set(ChecksumHeader, Checksum(body)) })
 }

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+
+	"hdmaps/internal/obs"
 )
 
 // handleDigest serves the anti-entropy surface:
@@ -17,7 +19,7 @@ import (
 // the live layer's digest, and handoff copies are transit, not state.
 func (s *TileServer) handleDigest(w http.ResponseWriter, r *http.Request, layer string) {
 	if layer == "" || IsInternalLayer(layer) {
-		WriteJSONError(w, http.StatusBadRequest, "bad digest layer")
+		obs.WriteJSONError(w, http.StatusBadRequest, "bad digest layer")
 		return
 	}
 	q := r.URL.Query()
@@ -28,12 +30,12 @@ func (s *TileServer) handleDigest(w http.ResponseWriter, r *http.Request, layer 
 	if bs := q.Get("bucket"); bs != "" {
 		b, err := strconv.Atoi(bs)
 		if err != nil || b < 0 || b >= DigestBuckets {
-			WriteJSONError(w, http.StatusBadRequest, "bad bucket")
+			obs.WriteJSONError(w, http.StatusBadRequest, "bad bucket")
 			return
 		}
 		entries, derr := s.DigestEntries(layer, b)
 		if derr != nil {
-			WriteJSONError(w, http.StatusInternalServerError, derr.Error())
+			obs.WriteJSONError(w, http.StatusInternalServerError, derr.Error())
 			return
 		}
 		WriteJSON(w, entries)
@@ -41,7 +43,7 @@ func (s *TileServer) handleDigest(w http.ResponseWriter, r *http.Request, layer 
 	}
 	d, err := s.LayerDigest(layer)
 	if err != nil {
-		WriteJSONError(w, http.StatusInternalServerError, err.Error())
+		obs.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	WriteJSON(w, d)
